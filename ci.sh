@@ -19,6 +19,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> mosc-serve tests on the portable poll(2) backend"
+cargo test -q -p mosc-serve --features poll-backend
+
 echo "==> mosc-obs disabled-recorder overhead guard"
 cargo test -q -p mosc-obs disabled_recorder_is_inert
 
@@ -168,13 +171,6 @@ test -n "$gov_expm" && test "$gov_expm" -gt 0 \
 ./target/release/mosc-cli analyze -D warnings "$access_log" \
     || { echo "observability smoke: access log failed the M07x/M09x lints" >&2; exit 1; }
 
-echo "==> serve bench artifact (BENCH_serve.json, closed-loop)"
-cargo run -q --release -p mosc-bench --bin serve -- --csv target/bench >/dev/null
-# Presence only; the quantile/metadata structure greps this section used to
-# carry are now the M10x lints in the deny-mode analyze gate below.
-grep -q '"type":"serve","mode":"closed","clients":8' target/bench/BENCH_serve.json \
-    || { echo "BENCH_serve.json missing closed-loop serve records" >&2; exit 1; }
-
 echo "==> open-loop loadgen smoke (live daemon, timeline, BENCH_loadgen.json)"
 cargo build -q --release -p mosc-bench --bin loadgen
 lg_log=target/bench/loadgen_daemon.log
@@ -207,10 +203,10 @@ grep -q '"type":"bench","mode":"open"' target/bench/BENCH_loadgen.json \
 grep -q '"type":"timeline"' "$lg_timeline" \
     || { echo "loadgen smoke: daemon produced no timeline windows" >&2; exit 1; }
 
-echo "==> event-loop front end smoke (1k idle conns + mixed traffic, BENCH_evloop.json)"
+echo "==> event-loop smoke (1k idle conns + mixed traffic, BENCH_evloop.json)"
 ev_log=target/bench/evloop_daemon.log
 ev_access=target/bench/evloop_access.jsonl
-./target/release/mosc-cli serve --obs=json --addr 127.0.0.1:0 --frontend evloop \
+./target/release/mosc-cli serve --obs=json --addr 127.0.0.1:0 \
     --access-log "$ev_access" >"$ev_log" 2>&1 &
 ev_pid=$!
 for _ in $(seq 1 50); do
@@ -237,8 +233,8 @@ grep -q '"type":"bench","mode":"open"' target/bench/BENCH_evloop.json \
     || { echo "evloop smoke: artifact missing the open-loop summary" >&2; exit 1; }
 grep -q '"idle_conns":1000' target/bench/BENCH_evloop.json \
     || { echo "evloop smoke: artifact does not record the held connections" >&2; exit 1; }
-# Deny-mode M06x-M11x over the event loop's access log: the new front end
-# must satisfy every serve/access/trace lint the threaded one does.
+# Deny-mode M06x-M11x over the access log of the idle-fleet run: every
+# serve/access/trace lint must hold with 1000 connections held open.
 ./target/release/mosc-cli analyze -D warnings "$ev_access" \
     || { echo "evloop smoke: access log failed the deny-mode lints" >&2; exit 1; }
 
@@ -339,7 +335,7 @@ batch_trace=$(sed -n 's/^trace \([0-9a-f]\{32\}\).*/\1/p' "$tb_err" | head -n 1)
 test -n "$batch_trace" || { echo "trace smoke: batch client printed no trace id" >&2; cat "$tb_err" >&2; exit 1; }
 # Force a deadline-exceeded anomaly: an already-expired deadline trips the
 # queued-deadline check, which snapshots the flight ring with reason
-# "deadline". The reader thread answers cache hits before the queue, so
+# "deadline". The I/O thread answers cache hits before the queue, so
 # the request carries a threads value no earlier request used — threads is
 # part of the cache key — guaranteeing a miss and a real enqueue.
 printf '%s\n' "{\"id\":\"tdl\",\"solver\":\"ao\",\"platform\":$smoke_platform,\"options\":{\"deadline_ms\":0,\"threads\":777}}" \
@@ -395,7 +391,7 @@ grep -q '"mode":"open_traced"' target/bench/BENCH_trace.json \
     || { echo "BENCH_trace.json missing the traced run" >&2; exit 1; }
 
 echo "==> deny-mode analyze over every produced artifact (incl. M10x bench lints)"
-for artifact in target/bench/BENCH_periodmap.json target/bench/BENCH_serve.json \
+for artifact in target/bench/BENCH_periodmap.json \
     target/bench/BENCH_loadgen.json target/bench/BENCH_evloop.json \
     target/bench/BENCH_batch.json target/bench/BENCH_trace.json "$lg_timeline"; do
     ./target/release/mosc-cli analyze -D warnings "$artifact" \

@@ -5,9 +5,9 @@
 //! `{"type":"bench_meta","schema":2,...}` header (git sha, host, thread
 //! count, options) ahead of its records, the open-loop load generator
 //! writes `{"type":"bench",...}` summaries plus `{"type":"timeline",...}`
-//! windows, rate sweeps write `{"type":"sweep",...}` points, and the
-//! legacy closed-loop harness keeps `{"type":"serve",...}` (now labelled
-//! `"mode":"closed"`). These lints replace the `grep -q '"p99_ms":'`-style
+//! windows, rate sweeps write `{"type":"sweep",...}` points, and artifacts
+//! of the retired closed-loop harness (`{"type":"serve",...}`, labelled
+//! `"mode":"closed"`) still lint. These lints replace the `grep -q '"p99_ms":'`-style
 //! CI checks with structural ones:
 //!
 //! * `M100` — bench records with no schema-v2 meta header, a meta header

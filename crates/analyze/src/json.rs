@@ -430,25 +430,9 @@ pub fn canonical_json(v: &Value) -> String {
     }
 }
 
-/// JSON string quoting with the standard escapes.
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// JSON string quoting with the standard escapes (the workspace's one
+/// escaper, which lives in the zero-dependency `mosc-obs`).
+pub use mosc_obs::json_string;
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,9 @@
 //! `mosc-bench loadgen` — open-loop load generation against `mosc-serve`.
 //!
-//! The E-SV serve bench is closed-loop: each client waits for its response
-//! before sending again, so a slow server throttles its own measurement
-//! and the recorded latencies omit the queueing the intended workload
-//! would have seen (coordinated omission). This binary fixes the arrival
+//! A closed-loop client waits for each response before sending again, so
+//! a slow server throttles its own measurement and the recorded latencies
+//! omit the queueing the intended workload would have seen (coordinated
+//! omission). This binary fixes the arrival
 //! times up front from a seeded random process
 //! (`mosc_bench::loadgen::arrival_schedule`), fans them out over N
 //! persistent connections whose writer threads send at the scheduled
@@ -25,13 +25,12 @@
 //! (M100–M104) and `mosc-bench compare` diffs against a baseline.
 //!
 //! Without `--addr`, an in-process `mosc-serve` server is spun up on
-//! `127.0.0.1:0` — the self-contained smoke CI runs; `--frontend
-//! threads|evloop` picks its front end. With `--addr HOST:PORT` it drives
-//! a live daemon.
+//! `127.0.0.1:0` — the self-contained smoke CI runs. With `--addr
+//! HOST:PORT` it drives a live daemon.
 //!
 //! `--idle-conns N` opens N extra connections before the first run and
 //! holds them idle across every run — the many-mostly-quiet-clients regime
-//! the event-loop front end exists for. Each one must still answer a ping
+//! the daemon's event loop exists for. Each one must still answer a ping
 //! after the last run or the generator exits nonzero; the count is
 //! recorded as `idle_conns` on every bench record.
 //!
@@ -57,7 +56,7 @@ use mosc_bench::{csv_dir_from_args, Table};
 use mosc_core::{SolveOptions, SolverKind};
 use mosc_obs::Timeline;
 use mosc_serve::{
-    fresh_span_id, fresh_trace_id, BatchRequest, BatchVariantRequest, Frontend, Request, Server,
+    fresh_span_id, fresh_trace_id, BatchRequest, BatchVariantRequest, Request, Server,
     SolveRequest, TraceContext,
 };
 use std::fmt::Write as _;
@@ -66,9 +65,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Distinct `t_max_c` values cycled through the request mix — the same
-/// four cache keys as the closed-loop serve bench, so most requests are
-/// answered from the LRU cache and the server keeps up at smoke scale.
+/// Distinct `t_max_c` values cycled through the request mix: four cache
+/// keys, so most requests are answered from the LRU cache and the server
+/// keeps up at smoke scale.
 const T_MAX_VARIANTS: [f64; 4] = [55.0, 56.0, 57.0, 58.0];
 
 /// Achieved/offered ratio defining "kept up" for the sweep knee.
@@ -164,7 +163,7 @@ fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
 
 /// Opens and holds `n` idle connections against the daemon. They carry no
 /// traffic while the measured runs proceed — their job is to occupy server
-/// connection slots, the regime the event-loop front end exists for.
+/// connection slots, the regime the daemon's event loop exists for.
 fn open_idle_conns(addr: SocketAddr, n: usize) -> Vec<TcpStream> {
     let mut conns = Vec::with_capacity(n);
     for i in 0..n {
@@ -483,11 +482,9 @@ struct Args {
     /// traffic) until after the last; every one must still answer a ping
     /// at the end or the generator exits nonzero.
     idle_conns: usize,
-    /// Front end for the in-process daemon (ignored with `--addr`).
-    frontend: Frontend,
-    /// File name of the artifact written under `--csv DIR`; the evloop CI
-    /// smoke writes `BENCH_evloop.json` so its baseline is gated apart
-    /// from the threaded-front-end `BENCH_loadgen.json`.
+    /// File name of the artifact written under `--csv DIR`; the idle-fleet
+    /// CI smoke writes `BENCH_evloop.json` so its baseline is gated apart
+    /// from the plain `BENCH_loadgen.json`.
     artifact: String,
 }
 
@@ -506,7 +503,6 @@ fn parse_args() -> Result<Args, String> {
         trace: false,
         trace_overhead: false,
         idle_conns: 0,
-        frontend: Frontend::default(),
         artifact: "BENCH_loadgen.json".to_owned(),
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -557,9 +553,6 @@ fn parse_args() -> Result<Args, String> {
                 out.idle_conns = value(&argv, i, "--idle-conns")?
                     .parse()
                     .map_err(|e| format!("--idle-conns: {e}"))?;
-            }
-            "--frontend" => {
-                out.frontend = value(&argv, i, "--frontend")?.parse()?;
             }
             "--artifact" => {
                 let name = value(&argv, i, "--artifact")?;
@@ -614,8 +607,7 @@ fn main() {
                 "loadgen: {e}\nusage: loadgen [--addr HOST:PORT] [--rate R] [--duration S] \
                  [--warmup S] [--conns N] [--process poisson|uniform] [--seed N] \
                  [--window S] [--sweep r1,r2,...] [--repeat-platform] [--trace] \
-                 [--trace-overhead] [--idle-conns N] \
-                 [--frontend threads|evloop] [--csv DIR] [--artifact NAME.json]"
+                 [--trace-overhead] [--idle-conns N] [--csv DIR] [--artifact NAME.json]"
             );
             std::process::exit(2);
         }
@@ -629,11 +621,7 @@ fn main() {
     let (addr, server) = match &args.addr {
         Some(a) => (a.parse().expect("--addr HOST:PORT"), None),
         None => {
-            let server = Server::builder()
-                .addr("127.0.0.1:0")
-                .frontend(args.frontend)
-                .bind()
-                .expect("bind 127.0.0.1:0");
+            let server = Server::builder().addr("127.0.0.1:0").bind().expect("bind 127.0.0.1:0");
             let addr = server.local_addr();
             let handle = server.handle();
             let join = std::thread::spawn(move || server.run().expect("serve loop"));
@@ -668,9 +656,6 @@ fn main() {
     }
     if args.idle_conns > 0 {
         meta = meta.option("idle_conns", args.idle_conns);
-    }
-    if args.addr.is_none() {
-        meta = meta.option("frontend", args.frontend.to_string());
     }
     let mut log = BenchLog::new(&meta);
 

@@ -1,6 +1,6 @@
 //! Open-loop arrival schedules for the `mosc-bench loadgen` binary.
 //!
-//! A closed-loop client (the E-SV serve bench) sends its next request only
+//! A closed-loop client sends its next request only
 //! after the previous response arrives, so when the server slows down the
 //! client slows down with it and the recorded latencies silently exclude
 //! the queueing the *intended* workload would have suffered — coordinated

@@ -14,6 +14,7 @@
 //! so artifacts are still well-formed (compare warns about unknown shas
 //! instead of refusing).
 
+use mosc_obs::json_string;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::Command;
@@ -62,14 +63,14 @@ impl RunMeta {
             if i > 0 {
                 opts.push(',');
             }
-            let _ = write!(opts, "\"{}\":\"{}\"", escape(k), escape(v));
+            let _ = write!(opts, "{}:{}", json_string(k), json_string(v));
         }
         format!(
-            "{{\"type\":\"bench_meta\",\"schema\":2,\"bench\":\"{}\",\
-             \"git_sha\":\"{}\",\"host\":\"{}\",\"threads\":{},\"options\":{{{opts}}}}}",
-            escape(&self.bench),
-            escape(&self.git_sha),
-            escape(&self.host),
+            "{{\"type\":\"bench_meta\",\"schema\":2,\"bench\":{},\
+             \"git_sha\":{},\"host\":{},\"threads\":{},\"options\":{{{opts}}}}}",
+            json_string(&self.bench),
+            json_string(&self.git_sha),
+            json_string(&self.host),
             self.threads
         )
     }
@@ -117,24 +118,6 @@ impl BenchLog {
     }
 }
 
-/// Escapes a string for embedding in a JSON literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' | '\\' => {
-                out.push('\\');
-                out.push(c);
-            }
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The abbreviated commit hash: `git rev-parse`, then the `MOSC_GIT_SHA`
 /// environment variable, then `"unknown"`.
 fn git_sha() -> String {
@@ -177,25 +160,34 @@ mod tests {
     use super::*;
     use mosc_analyze::json::Value;
 
+    /// Hostile strings: quote, backslash, the named control escapes, a
+    /// bare control character and non-ASCII must all survive the header.
+    const HOSTILE: &str = "ci-\"box\"\\\n\r\t\u{1}é";
+
     #[test]
     fn header_is_valid_schema_v2_json() {
         let meta = RunMeta {
             bench: "loadgen".into(),
             git_sha: "abc1234".into(),
-            host: "ci-\"box\"".into(),
+            host: HOSTILE.into(),
             threads: 8,
-            options: vec![("rate".into(), "300".into()), ("seed".into(), "42".into())],
+            options: vec![
+                ("rate".into(), "300".into()),
+                ("seed".into(), "42".into()),
+                (HOSTILE.into(), HOSTILE.into()),
+            ],
         };
         let doc = Value::parse(&meta.header()).expect("header parses");
         assert_eq!(doc.get("type").and_then(Value::as_str), Some("bench_meta"));
         assert_eq!(doc.get("schema").and_then(Value::as_f64), Some(2.0));
         assert_eq!(doc.get("bench").and_then(Value::as_str), Some("loadgen"));
         assert_eq!(doc.get("git_sha").and_then(Value::as_str), Some("abc1234"));
-        assert_eq!(doc.get("host").and_then(Value::as_str), Some("ci-\"box\""));
+        assert_eq!(doc.get("host").and_then(Value::as_str), Some(HOSTILE));
         assert_eq!(doc.get("threads").and_then(Value::as_f64), Some(8.0));
         let opts = doc.get("options").expect("options object");
         assert_eq!(opts.get("rate").and_then(Value::as_str), Some("300"));
         assert_eq!(opts.get("seed").and_then(Value::as_str), Some("42"));
+        assert_eq!(opts.get(HOSTILE).and_then(Value::as_str), Some(HOSTILE));
     }
 
     #[test]

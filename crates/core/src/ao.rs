@@ -452,16 +452,19 @@ fn sweep_m(platform: &Platform, pairs: &[CorePair], opts: &AoOptions) -> Result<
         // Assemble a batch of factors whose δ compensation still fits: the
         // compensation consuming a core's entire low interval means larger m
         // is pointless (and δ undefined), so saturation ends the sweep.
+        // m = 1 is always evaluated, saturated or not, so the sweep never
+        // ends without a candidate.
         let mut batch: Vec<(usize, Vec<CorePair>, f64)> = Vec::with_capacity(threads);
         let mut saturated = false;
         while batch.len() < threads && m_next <= m_cap {
             let m = m_next;
             m_next += 1;
             let adjusted = adjusted_pairs(pairs, platform, m, opts);
-            if pairs
-                .iter()
-                .zip(&adjusted)
-                .any(|(base, adj)| pairs_oscillating(base) && adj.ratio_high >= 1.0 - 1e-12)
+            if m > 1
+                && pairs
+                    .iter()
+                    .zip(&adjusted)
+                    .any(|(base, adj)| pairs_oscillating(base) && adj.ratio_high >= 1.0 - 1e-12)
             {
                 stop = "overhead_saturated";
                 saturated = true;

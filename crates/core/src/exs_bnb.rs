@@ -38,23 +38,8 @@ pub struct BnbStats {
     pub throughput_prunes: u64,
 }
 
-/// Runs branch-and-bound EXS, returning the optimal constant assignment and
-/// search statistics.
-///
-/// # Errors
-/// [`AlgoError::Infeasible`] when even all-lowest violates `T_max`;
-/// propagated evaluation failures otherwise.
-#[deprecated(
-    since = "0.1.0",
-    note = "use mosc_core::solve(SolverKind::ExsBnb, platform, &opts); the \
-            BnbStats live in SolveReport::stats"
-)]
-pub fn solve(platform: &Platform) -> Result<(Solution, BnbStats)> {
-    solve_inner(platform, None)
-}
-
-/// The engine behind [`solve`] and the [`crate::solve`](crate::solve())
-/// dispatcher: branch-and-bound with an optional wall-clock deadline.
+/// The engine behind the [`crate::solve`](crate::solve()) dispatcher:
+/// branch-and-bound with an optional wall-clock deadline.
 ///
 /// # Errors
 /// [`AlgoError::Infeasible`] when even all-lowest violates `T_max`;

@@ -1,10 +1,10 @@
 //! The unified solver API: one dispatcher over the six algorithms.
 //!
 //! The solvers historically grew six incompatible entry points
-//! (`ao::solve_with(&AoOptions)`, `exs::solve_with_threads(usize)`,
-//! `exs_bnb::solve -> (Solution, BnbStats)`, …), which meant every layer
-//! above them — the CLI, the bench harness, and now the `mosc-serve`
-//! daemon — re-implemented per-solver dispatch glue. This module folds them
+//! (`ao::solve_with(&AoOptions)`, an EXS entry taking a thread count, a
+//! branch-and-bound entry returning its own stats tuple, …), which meant
+//! every layer above them — the CLI, the bench harness, and now the
+//! `mosc-serve` daemon — re-implemented per-solver dispatch glue. This module folds them
 //! behind:
 //!
 //! * [`SolverKind`] — a closed enum of the six algorithms with stable wire
@@ -535,6 +535,24 @@ mod tests {
         assert_eq!(report.stats.explored, 27);
         let report = solve(SolverKind::ExsBnb, &p, &SolveOptions::default()).unwrap();
         assert!(report.stats.explored > 0);
+    }
+
+    #[test]
+    fn dispatcher_matches_the_bnb_engine() {
+        let p = mosc_sched::Platform::build(&PlatformSpec::paper(1, 3, 3, 55.0)).unwrap();
+        let report = solve(SolverKind::ExsBnb, &p, &SolveOptions::default()).unwrap();
+        let (engine, bnb) = exs_bnb::solve_inner(&p, None).unwrap();
+        assert_eq!(report.solution.schedule, engine.schedule);
+        assert_eq!(report.solution.feasible, engine.feasible);
+        assert_eq!(report.solution.m, engine.m);
+        assert_eq!(report.solution.throughput.to_bits(), engine.throughput.to_bits());
+        assert_eq!(report.solution.peak.to_bits(), engine.peak.to_bits());
+        // `From<BnbStats>` carries every counter across.
+        assert_eq!(report.stats.explored, bnb.visited);
+        assert_eq!(report.stats.thermal_prunes, bnb.thermal_prunes);
+        assert_eq!(report.stats.throughput_prunes, bnb.throughput_prunes);
+        // This platform prunes both ways, so a dropped counter cannot hide as 0 == 0.
+        assert!(bnb.thermal_prunes > 0 && bnb.throughput_prunes > 0, "{bnb:?}");
     }
 
     #[test]

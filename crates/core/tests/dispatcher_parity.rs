@@ -1,16 +1,10 @@
 //! Pin: the unified `mosc_core::solve` dispatcher must return exactly what
-//! the old per-module entry points returned — same schedules, same
-//! feasibility stamps, same statistics — so callers can migrate without a
-//! behavioral diff. The deprecated shims are exercised deliberately here;
-//! this test is their one remaining caller.
-
-#![allow(deprecated)]
+//! the per-module entry points return — same schedules, same feasibility
+//! stamps, same statistics — so the two surfaces cannot drift apart.
 
 use mosc_core::ao::{self, AoOptions};
 use mosc_core::pco::{self, PcoOptions};
-use mosc_core::{
-    exs, exs_bnb, lns, solve, Platform, PlatformSpec, Solution, SolveOptions, SolverKind,
-};
+use mosc_core::{exs, lns, solve, Platform, PlatformSpec, Solution, SolveOptions, SolverKind};
 
 fn platform() -> Platform {
     Platform::build(&PlatformSpec::paper(1, 3, 2, 55.0)).unwrap()
@@ -48,24 +42,13 @@ fn dispatcher_matches_lns() {
 }
 
 #[test]
-fn dispatcher_matches_the_deprecated_exs_entry_points() {
+fn dispatcher_matches_the_exs_entry_point() {
     let p = platform();
     let new = solve(SolverKind::Exs, &p, &SolveOptions { threads: 2, ..quick_opts() }).unwrap();
-    let old = exs::solve_with_threads(&p, 2).unwrap();
+    let old = exs::solve(&p).unwrap();
     assert_same(SolverKind::Exs, &new.solution, &old);
     // EXS enumerates the full space: 3 cores x 2 levels = 8 assignments.
     assert_eq!(new.stats.explored, 8);
-}
-
-#[test]
-fn dispatcher_matches_the_deprecated_bnb_entry_point() {
-    let p = platform();
-    let new = solve(SolverKind::ExsBnb, &p, &quick_opts()).unwrap();
-    let (old, old_stats) = exs_bnb::solve(&p).unwrap();
-    assert_same(SolverKind::ExsBnb, &new.solution, &old);
-    assert_eq!(new.stats.explored, old_stats.visited);
-    assert_eq!(new.stats.thermal_prunes, old_stats.thermal_prunes);
-    assert_eq!(new.stats.throughput_prunes, old_stats.throughput_prunes);
 }
 
 #[test]

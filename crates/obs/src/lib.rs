@@ -64,7 +64,7 @@ pub use flight::{
 pub use histo::{bucket_upper, Exemplar, HistoSnapshot, LogHistogram, LOG_BUCKETS};
 pub use metric::{counter_value, Counter, CounterCell, Gauge, Histogram};
 pub use rate::RateWindow;
-pub use report::{EventRecord, HistSummary, SpanStats, Telemetry};
+pub use report::{json_string, EventRecord, HistSummary, SpanStats, Telemetry};
 pub use span::{span, SpanGuard};
 pub use timeline::{Timeline, TimelineWindow, MAX_GAP_WINDOWS};
 pub use trace::{TraceContext, TraceSnapshot};

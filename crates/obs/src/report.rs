@@ -240,8 +240,8 @@ impl Telemetry {
             let _ = writeln!(
                 out,
                 "{{\"type\":\"span\",\"path\":{},\"name\":{},\"depth\":{},\"calls\":{},\"total_s\":{},\"self_s\":{}}}",
-                json_str(&s.path),
-                json_str(&s.name),
+                json_string(&s.path),
+                json_string(&s.name),
                 s.depth,
                 s.calls,
                 json_f64(s.total.as_secs_f64()),
@@ -249,14 +249,17 @@ impl Telemetry {
             );
         }
         for (name, v) in &self.counters {
-            let _ =
-                writeln!(out, "{{\"type\":\"counter\",\"name\":{},\"value\":{v}}}", json_str(name));
+            let _ = writeln!(
+                out,
+                "{{\"type\":\"counter\",\"name\":{},\"value\":{v}}}",
+                json_string(name)
+            );
         }
         for (name, v) in &self.gauges {
             let _ = writeln!(
                 out,
                 "{{\"type\":\"gauge\",\"name\":{},\"value\":{}}}",
-                json_str(name),
+                json_string(name),
                 json_f64(*v)
             );
         }
@@ -264,7 +267,7 @@ impl Telemetry {
             let _ = writeln!(
                 out,
                 "{{\"type\":\"hist\",\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
-                json_str(name),
+                json_string(name),
                 h.count,
                 json_f64(h.sum),
                 json_f64(h.min),
@@ -277,12 +280,12 @@ impl Telemetry {
                 if i > 0 {
                     fields.push(',');
                 }
-                let _ = write!(fields, "{}:{}", json_str(k), json_field(v));
+                let _ = write!(fields, "{}:{}", json_string(k), json_field(v));
             }
             let _ = writeln!(
                 out,
                 "{{\"type\":\"event\",\"name\":{},\"fields\":{{{fields}}}}}",
-                json_str(&e.name)
+                json_string(&e.name)
             );
         }
         if self.events_dropped > 0 {
@@ -322,7 +325,7 @@ fn json_field(v: &FieldValue) -> String {
         FieldValue::U64(x) => x.to_string(),
         FieldValue::I64(x) => x.to_string(),
         FieldValue::F64(x) => json_f64(*x),
-        FieldValue::Str(s) => json_str(s),
+        FieldValue::Str(s) => json_string(s),
         FieldValue::Bool(b) => b.to_string(),
     }
 }
@@ -339,8 +342,12 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// JSON string literal with the mandatory escapes.
-fn json_str(s: &str) -> String {
+/// JSON string literal with the standard escapes: quote, backslash, `\n`,
+/// `\r`, `\t`, and `\u00XX` for the other control characters. The one
+/// JSON string escaper of the workspace; `mosc_analyze::json` re-exports
+/// it.
+#[must_use]
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -22,7 +22,7 @@
 //!   `schedule_text` size.
 
 use crate::proto::{canonical_json, options_to_json, SolveRequest};
-use mosc_core::{SolveOptions, SolverKind, SolverStats};
+use mosc_core::{Platform, SolveOptions, SolveReport, SolverKind, SolverStats};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -94,6 +94,22 @@ pub struct CachedSolve {
     pub stats: SolverStats,
     /// The schedule in `mosc-sched::text` form.
     pub schedule_text: String,
+}
+
+impl CachedSolve {
+    /// The cacheable summary of one fresh solve by `solver` on `platform`.
+    pub(crate) fn of_report(solver: SolverKind, report: &SolveReport, platform: &Platform) -> Self {
+        Self {
+            solver,
+            throughput: report.solution.throughput,
+            peak_c: report.solution.peak_c(platform),
+            feasible: report.solution.feasible,
+            m: report.solution.m,
+            wall_ms: report.wall.as_secs_f64() * 1e3,
+            stats: report.stats,
+            schedule_text: mosc_sched::text::to_text(&report.solution.schedule),
+        }
+    }
 }
 
 /// A fixed-capacity least-recently-used cache. Lookups and inserts are

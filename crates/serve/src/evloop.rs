@@ -1,19 +1,19 @@
-//! The event-loop front end: one nonblocking I/O thread owns every client
-//! socket, multiplexed through [`crate::poller::Poller`], while the same
-//! worker pool as the threaded front end executes solves behind it.
+//! The event loop: one nonblocking I/O thread owns every client socket,
+//! multiplexed through [`crate::poller::Poller`], while the worker pool
+//! executes solves behind it.
 //!
 //! ## Connection state machine
 //!
 //! Each accepted socket becomes a [`Conn`] that moves bytes through four
 //! stages: **read** (fill `rbuf` until `WouldBlock`), **reassemble**
-//! (split `rbuf` on `\n`; a trailing fragment is dispatched at EOF, which
-//! is exactly `BufRead::read_line`'s behavior on the threaded front end),
-//! **dispatch** (each non-empty line goes through the shared
-//! [`handle_line`], synchronously for protocol ops and cache hits,
-//! asynchronously via the worker queue for solves), and **write** (framed
-//! response lines from the [`Outbox`] are appended to `wbuf` and flushed
-//! while the socket accepts them, with write interest registered only
-//! while a backlog exists).
+//! (split `rbuf` on `\n`, scanning only bytes not scanned before; a
+//! trailing fragment is dispatched at EOF, so a client that sends a final
+//! request without `\n` and half-closes still gets its answer),
+//! **dispatch** (each non-empty line goes through [`handle_line`],
+//! synchronously for protocol ops and cache hits, asynchronously via the
+//! worker queue for solves), and **write** (framed response lines from the
+//! [`Outbox`] are appended to `wbuf` and flushed while the socket accepts
+//! them, with write interest registered only while a backlog exists).
 //!
 //! Accounting closes a connection at the right moment without tracking
 //! request identity: [`handle_line`] guarantees exactly one response line
@@ -26,40 +26,41 @@
 //! A client that sends faster than it reads grows `wbuf`; past
 //! [`WBUF_MAX`] the loop drops the connection's read interest until the
 //! backlog flushes below the limit, so one slow reader bounds its own
-//! memory instead of the daemon's.
+//! memory instead of the daemon's. A request line longer than
+//! [`LINE_MAX`] gets one `usage` error and the connection is closed, so a
+//! client that never sends `\n` cannot grow `rbuf` without limit either.
 //!
 //! ## Waking
 //!
-//! Workers finish on their own threads, so the loop parks in
-//! [`Poller::wait`] with a self-wake channel registered alongside the
-//! sockets: a loopback socket pair (pure std — an ephemeral listener,
-//! connect, accept) whose read end lives in the poll set. [`Outbox::push`]
-//! enqueues the framed line and writes one byte to the other end unless a
-//! wake is already pending. The loop clears the pending flag *before*
-//! draining the queue, so a push that races the drain either lands in the
-//! current batch or raises a fresh wake — never lost.
+//! Workers hand their responses over through the [`Outbox`], whose wake
+//! channel sits in the poll set next to the sockets (see
+//! [`crate::outbox`]). The loop drains the outbox after every event batch.
 //!
 //! ## Shutdown
 //!
 //! The wire `shutdown` op (or [`crate::ServeHandle::shutdown`]) sets the
 //! shared flag and pokes the listener with a throwaway connect. The loop
-//! then closes the worker queue (drain-then-exit, same as the threaded
-//! front end), deregisters the listener, stops reading, and keeps flushing
+//! then closes the worker queue (drain-then-exit: every queued job still
+//! runs), deregisters the listener, stops reading, and keeps flushing
 //! until every dispatched line has its response delivered.
 
+use crate::outbox::Outbox;
 use crate::poller::{Interest, PollEvent, Poller, Token};
-use crate::server::{handle_line, ConnWriter, Shared};
-use std::collections::{HashMap, VecDeque};
+use crate::server::{handle_line, reject_line, Shared};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Write-backlog bound per connection; past this the loop stops reading
 /// from the socket until the backlog drains below it again.
 const WBUF_MAX: usize = 1 << 20;
+
+/// Longest request line the loop buffers, newline excluded.
+const LINE_MAX: usize = 1 << 20;
 
 /// Read scratch size per `read(2)` call.
 const SCRATCH: usize = 16 * 1024;
@@ -70,45 +71,9 @@ const DRAIN_POLL: Duration = Duration::from_millis(200);
 
 const TOKEN_LISTENER: Token = 0;
 const TOKEN_WAKE: Token = 1;
-/// Connection ids (allocated from 1) map to tokens as `id + CONN_BASE`.
+/// Connection ids (allocated from 1, so `conn` is never falsy in
+/// log-processing tools) map to tokens as `id + CONN_BASE`.
 const CONN_BASE: Token = 2;
-
-/// Completed responses in flight from worker threads to the I/O thread.
-/// Framed (newline-terminated) lines, tagged with the connection they
-/// answer; pushing wakes the loop if it is parked.
-pub(crate) struct Outbox {
-    queue: Mutex<VecDeque<(u64, String)>>,
-    /// Collapses wake bytes: set by the first push after a drain, cleared
-    /// by the loop before it drains.
-    wake_pending: AtomicBool,
-    wake_tx: Mutex<TcpStream>,
-}
-
-impl Outbox {
-    fn new(wake_tx: TcpStream) -> Self {
-        Self {
-            queue: Mutex::new(VecDeque::new()),
-            wake_pending: AtomicBool::new(false),
-            wake_tx: Mutex::new(wake_tx),
-        }
-    }
-
-    /// Queues one framed response line for `conn` and wakes the loop.
-    pub(crate) fn push(&self, conn: u64, framed: String) {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner).push_back((conn, framed));
-        if !self.wake_pending.swap(true, Ordering::SeqCst) {
-            // A failed write means the wake pipe's buffer already holds
-            // unread bytes, which is itself a pending wake.
-            let _ = self.wake_tx.lock().unwrap_or_else(PoisonError::into_inner).write_all(&[1]);
-        }
-    }
-
-    /// Takes the whole pending batch. Callers clear `wake_pending` first;
-    /// see the module docs for why that order cannot lose a wake.
-    fn drain(&self) -> VecDeque<(u64, String)> {
-        std::mem::take(&mut *self.queue.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-}
 
 /// Per-connection state owned by the I/O thread.
 struct Conn {
@@ -116,6 +81,8 @@ struct Conn {
     /// Unconsumed request bytes (at most one partial line after
     /// reassembly).
     rbuf: Vec<u8>,
+    /// Length of the `rbuf` prefix already scanned for `\n` (none found).
+    scanned: usize,
     /// Framed response bytes not yet accepted by the socket; `wpos` marks
     /// how far the kernel has taken them.
     wbuf: Vec<u8>,
@@ -127,14 +94,13 @@ struct Conn {
     dispatched: u64,
     responded: u64,
     last_activity: Instant,
-    /// Client closed its write half; trailing partial line already
-    /// dispatched.
+    /// Client closed its write half (trailing partial line already
+    /// dispatched), or its request line ran past [`LINE_MAX`]: read no more.
     eof: bool,
     /// Fatal socket error or invalid UTF-8: retire without waiting.
     dead: bool,
     /// Interest currently registered with the poller.
     interest: Interest,
-    writer: ConnWriter,
 }
 
 impl Conn {
@@ -152,20 +118,15 @@ impl Conn {
 /// docs for the architecture.
 pub(crate) fn run(listener: &TcpListener, shared: &Shared) -> io::Result<()> {
     listener.set_nonblocking(true)?;
-    // Self-wake channel from pure std: an ephemeral loopback pair.
-    let wake_listener = TcpListener::bind(("127.0.0.1", 0))?;
-    let wake_tx = TcpStream::connect(wake_listener.local_addr()?)?;
-    let (mut wake_rx, _) = wake_listener.accept()?;
-    drop(wake_listener);
-    wake_rx.set_nonblocking(true)?;
-    wake_tx.set_nonblocking(true)?;
-    let outbox = Arc::new(Outbox::new(wake_tx));
+    let (outbox, mut wake_rx) = Outbox::new()?;
+    let outbox = Arc::new(outbox);
 
     let mut poller = Poller::new()?;
     poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
     poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
 
     let mut conns: HashMap<u64, Conn> = HashMap::new();
+    let mut last_id = 0;
     let mut events: Vec<PollEvent> = Vec::new();
     let mut scratch = vec![0u8; SCRATCH];
     let mut draining = false;
@@ -174,8 +135,8 @@ pub(crate) fn run(listener: &TcpListener, shared: &Shared) -> io::Result<()> {
         if !draining && shared.shutdown.load(Ordering::SeqCst) {
             draining = true;
             poller.deregister(listener.as_raw_fd());
-            // Same drain semantics as the threaded front end: everything
-            // already queued gets a response, nothing new is read.
+            // Everything already queued gets a response, nothing new is
+            // read.
             shared.queue.close();
         }
         if draining && conns.is_empty() {
@@ -190,7 +151,7 @@ pub(crate) fn run(listener: &TcpListener, shared: &Shared) -> io::Result<()> {
             match ev.token {
                 TOKEN_LISTENER => {
                     if !draining {
-                        accept_ready(listener, shared, &mut poller, &mut conns, &outbox, now);
+                        accept_ready(listener, &mut last_id, &mut poller, &mut conns, now);
                     }
                 }
                 TOKEN_WAKE => {
@@ -210,7 +171,7 @@ pub(crate) fn run(listener: &TcpListener, shared: &Shared) -> io::Result<()> {
                         continue;
                     }
                     if ev.readable && !draining {
-                        read_ready(c, id, shared, &mut scratch, now);
+                        read_ready(c, id, shared, &outbox, &mut scratch, now);
                     }
                     if ev.writable {
                         flush(c);
@@ -220,12 +181,9 @@ pub(crate) fn run(listener: &TcpListener, shared: &Shared) -> io::Result<()> {
         }
         events = batch;
 
-        // Clear-then-drain: a push racing this drain either joins the
-        // batch or leaves a fresh wake byte behind.
-        outbox.wake_pending.store(false, Ordering::SeqCst);
         for (id, framed) in outbox.drain() {
-            // A retired connection's late responses are dropped, like the
-            // threaded front end's failed write to a gone client.
+            // A retired connection's late responses are dropped: its
+            // client went away.
             if let Some(c) = conns.get_mut(&id) {
                 c.responded += 1;
                 c.wbuf.extend_from_slice(framed.as_bytes());
@@ -275,10 +233,9 @@ pub(crate) fn run(listener: &TcpListener, shared: &Shared) -> io::Result<()> {
 /// `WouldBlock`) and registers each with read interest.
 fn accept_ready(
     listener: &TcpListener,
-    shared: &Shared,
+    last_id: &mut u64,
     poller: &mut Poller,
     conns: &mut HashMap<u64, Conn>,
-    outbox: &Arc<Outbox>,
     now: Instant,
 ) {
     loop {
@@ -291,10 +248,11 @@ fn accept_ready(
         if stream.set_nonblocking(true).is_err() {
             continue;
         }
-        // Same rationale as the threaded front end: responses are single
-        // small writes, so Nagle + delayed ACK would serialize latency.
+        // Responses are single small writes; Nagle + delayed ACK would add
+        // tens of milliseconds of latency per request.
         let _ = stream.set_nodelay(true);
-        let id = shared.conns.fetch_add(1, Ordering::Relaxed) + 1;
+        *last_id += 1;
+        let id = *last_id;
         if poller.register(stream.as_raw_fd(), id + CONN_BASE, Interest::READ).is_err() {
             continue;
         }
@@ -303,6 +261,7 @@ fn accept_ready(
             Conn {
                 stream,
                 rbuf: Vec::new(),
+                scanned: 0,
                 wbuf: Vec::new(),
                 wpos: 0,
                 seq: 0,
@@ -312,15 +271,22 @@ fn accept_ready(
                 eof: false,
                 dead: false,
                 interest: Interest::READ,
-                writer: ConnWriter::Event { conn: id, outbox: outbox.clone() },
             },
         );
     }
 }
 
-/// Reads until `WouldBlock`/EOF, reassembles lines, dispatches each
-/// non-empty one through the shared [`handle_line`].
-fn read_ready(c: &mut Conn, id: u64, shared: &Shared, scratch: &mut [u8], now: Instant) {
+/// Reads until `WouldBlock`/EOF (or until more than a line's worth is
+/// buffered), reassembles lines, dispatches each non-empty one through
+/// [`handle_line`].
+fn read_ready(
+    c: &mut Conn,
+    id: u64,
+    shared: &Shared,
+    outbox: &Arc<Outbox>,
+    scratch: &mut [u8],
+    now: Instant,
+) {
     loop {
         match c.stream.read(scratch) {
             Ok(0) => {
@@ -330,9 +296,11 @@ fn read_ready(c: &mut Conn, id: u64, shared: &Shared, scratch: &mut [u8], now: I
             Ok(n) => {
                 c.last_activity = now;
                 c.rbuf.extend_from_slice(&scratch[..n]);
-                if c.backlog() >= WBUF_MAX {
+                if c.backlog() >= WBUF_MAX || c.rbuf.len() > LINE_MAX {
                     // Stop pulling more until the client reads its
-                    // responses; what is buffered still dispatches.
+                    // responses (or the buffered lines dispatch); what is
+                    // buffered still dispatches, and the socket stays
+                    // readable.
                     break;
                 }
             }
@@ -344,26 +312,45 @@ fn read_ready(c: &mut Conn, id: u64, shared: &Shared, scratch: &mut [u8], now: I
             }
         }
     }
-    while let Some(pos) = c.rbuf.iter().position(|&b| b == b'\n') {
-        let line: Vec<u8> = c.rbuf.drain(..=pos).collect();
-        dispatch(c, id, shared, &line);
+    // Split off every complete line, scanning only bytes no earlier pass
+    // has seen, then keep the unterminated rest.
+    let buf = std::mem::take(&mut c.rbuf);
+    let mut start = 0;
+    let mut from = c.scanned;
+    while let Some(len) = buf[from..].iter().position(|&b| b == b'\n') {
+        let end = from + len;
+        if end - start > LINE_MAX {
+            break; // the rest now starts with an overlong line
+        }
+        dispatch(c, id, shared, outbox, &buf[start..end]);
         if c.dead {
             return;
         }
+        start = end + 1;
+        from = start;
     }
+    if buf.len() - start > LINE_MAX {
+        // One `usage` error for the overlong line, then read no more: the
+        // connection retires once that error is on the wire.
+        c.scanned = 0;
+        c.eof = true;
+        c.dispatched += 1;
+        let message = format!("request line longer than {LINE_MAX} bytes");
+        reject_line(outbox, shared, Instant::now(), id, c.seq, &message);
+        c.seq += 1;
+        return;
+    }
+    c.rbuf = buf;
+    c.rbuf.drain(..start);
+    c.scanned = c.rbuf.len();
     if c.eof && !c.rbuf.is_empty() {
-        // `read_line` hands out an unterminated trailing line at EOF; the
-        // reassembly path matches it so a client that sends a final
-        // request without `\n` and half-closes still gets its answer.
         let line = std::mem::take(&mut c.rbuf);
-        dispatch(c, id, shared, &line);
+        dispatch(c, id, shared, outbox, &line);
     }
 }
 
-/// Dispatches one reassembled line. Invalid UTF-8 kills the connection —
-/// the threaded front end's `read_line` surfaces the same bytes as an
-/// `InvalidData` read error, which also drops the connection.
-fn dispatch(c: &mut Conn, id: u64, shared: &Shared, line: &[u8]) {
+/// Dispatches one reassembled line. Invalid UTF-8 kills the connection.
+fn dispatch(c: &mut Conn, id: u64, shared: &Shared, outbox: &Arc<Outbox>, line: &[u8]) {
     let Ok(text) = std::str::from_utf8(line) else {
         c.dead = true;
         return;
@@ -373,7 +360,7 @@ fn dispatch(c: &mut Conn, id: u64, shared: &Shared, line: &[u8]) {
         return;
     }
     c.dispatched += 1;
-    c.seq += handle_line(trimmed, &c.writer, shared, Instant::now(), id, c.seq);
+    c.seq += handle_line(trimmed, outbox, shared, Instant::now(), id, c.seq);
 }
 
 /// Writes backlog until the socket stops accepting; compacts the buffer

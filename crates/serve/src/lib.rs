@@ -15,19 +15,19 @@
 //!   cleanly through [`mosc_core::SolveOptions::deadline`];
 //! - graceful drain-then-exit on the `shutdown` op (a wire op stands in
 //!   for a signal handler);
-//! - two interchangeable front ends behind one worker pool: the original
-//!   thread-per-connection reader ([`Frontend::Threads`]) and a
-//!   nonblocking event loop ([`Frontend::Evloop`], unix-only) that holds
-//!   tens of thousands of connections on a single I/O thread (DESIGN.md
-//!   §16). Both produce byte-identical response streams, pinned by a
-//!   front-end equivalence proptest.
+//! - one front end: a nonblocking event loop (epoll on Linux, poll(2) on
+//!   other unixes or with the `poll-backend` feature) that holds tens of
+//!   thousands of connections on a single I/O thread (DESIGN.md §16).
+//!
+//! The daemon is unix-only: off unix, [`Server::run`] returns
+//! [`std::io::ErrorKind::Unsupported`].
 //!
 //! The wire protocol is versioned: clients may open with a `hello` op to
 //! negotiate a protocol version and discover supported ops (see
 //! [`proto`]); v1 is today's line set, and unknown ops get a structured
 //! `unsupported` error instead of a dropped connection.
 //!
-//! Run it as `mosc-cli serve --addr 127.0.0.1:7070 --frontend evloop`, or
+//! Run it as `mosc-cli serve --addr 127.0.0.1:7070`, or
 //! embed it via [`Server::builder`] ([`ServeBuilder`]) as the loopback
 //! tests do.
 //!
@@ -45,6 +45,7 @@ pub mod cache;
 #[cfg(unix)]
 mod evloop;
 mod metrics;
+mod outbox;
 #[cfg(unix)]
 mod poller;
 pub mod proto;
@@ -58,4 +59,4 @@ pub use proto::{
     TraceContext, PROTO_VERSION_MAX, PROTO_VERSION_MIN,
 };
 pub use queue::{BoundedQueue, QueueFull};
-pub use server::{Frontend, ServeBuilder, ServeHandle, ServeOptions, ServeStats, Server};
+pub use server::{ServeBuilder, ServeHandle, ServeStats, Server};

@@ -1,4 +1,4 @@
-//! Readiness polling for the event-loop front end: a minimal epoll/poll(2)
+//! Readiness polling for the event loop: a minimal epoll/poll(2)
 //! wrapper over raw syscalls.
 //!
 //! std exposes no socket-readiness API, and the workspace takes no
@@ -12,8 +12,8 @@
 //!   event loop's "process until `WouldBlock`" read/write style.
 //! * **poll(2)** (every other unix, or Linux with the `poll-backend`
 //!   feature): the interest list is rebuilt into a `pollfd` array per
-//!   wait. O(fds) per wait, but fully portable — the fallback the tentpole
-//!   requires, and CI exercises it explicitly.
+//!   wait. O(fds) per wait, but fully portable — the only fallback, and
+//!   `ci.sh` runs the serve tests on it explicitly.
 //!
 //! All `unsafe` in the crate lives in the [`sys`] module below, one
 //! documented block per call.

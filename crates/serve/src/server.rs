@@ -1,19 +1,20 @@
-//! The TCP daemon: accept loop, reader threads, worker pool, drain.
+//! The TCP daemon: configuration, request dispatch, worker pool, drain.
 //!
 //! Architecture (one box per thread kind):
 //!
 //! ```text
-//!   accept loop ──► reader thread per connection ──► bounded MPMC queue
-//!                   (parse, cache fast path,          │
-//!                    backpressure: overloaded)        ▼
-//!                                               fixed worker pool
-//!                                               (deadline check, solve,
-//!                                                cache fill, respond)
+//!   event loop (one I/O thread) ──► bounded MPMC queue
+//!   (accept, read, parse, cache        │
+//!    fast path, backpressure:          ▼
+//!    overloaded, write)          fixed worker pool
+//!           ▲                    (deadline check, solve,
+//!           └──── outbox ─────── cache fill, respond)
 //! ```
 //!
-//! Responses are written through a per-connection `Mutex<TcpStream>` clone,
-//! so readers (cache hits, rejections) and workers (solve results) can both
-//! answer on the same socket without interleaving bytes.
+//! The event loop ([`crate::evloop`]) owns every socket. Every response
+//! line reaches it through the completion outbox, whether the I/O thread
+//! answered it inline (protocol ops, cache hits, rejections) or a worker
+//! did (solve results), so each line lands on the socket unfragmented.
 //!
 //! ## Request lifecycle timestamps
 //!
@@ -22,26 +23,28 @@
 //! completion (response written). The derived phases feed the per-op
 //! latency histograms and the access log:
 //!
-//! * `queue_wait = t_dequeue − t_enqueue` (0 for reader-thread answers),
+//! * `queue_wait = t_dequeue − t_enqueue` (0 for answers made on the I/O
+//!   thread),
 //! * `service   = done − t_dequeue` (platform build + solve + write),
 //! * `total     = done − t_recv`.
 //!
 //! All three come from one monotone clock, so
 //! `queue_wait + service ≤ total` always holds (the M070 lint checks it on
-//! the access log). When [`ServeOptions::access_log`] is set, every
+//! the access log). When [`ServeBuilder::access_log`] is set, every
 //! completed request appends one JSONL line; requests whose `total` is at
-//! least [`ServeOptions::slow_threshold`] additionally carry the solver's
+//! least [`ServeBuilder::slow_threshold`] additionally carry the solver's
 //! span tree captured via [`mosc_obs::TraceContext`].
 //!
 //! Shutdown is a protocol op, not a signal: the workspace forbids `unsafe`,
 //! so no signal handler can be installed, and `{"op":"shutdown"}` plays the
 //! role SIGTERM would. On shutdown the daemon stops accepting connections
 //! and new requests, closes the queue, lets the workers drain every queued
-//! job (each still gets its response), and joins all threads before
-//! returning from [`Server::run`].
+//! job (each still gets its response, an `internal` error if its solve
+//! panicked), and joins all threads before returning from [`Server::run`].
 
 use crate::cache::{cache_key, cache_key_parts, fnv1a, CacheKey, CachedSolve, LruCache};
 use crate::metrics::ServeMetrics;
+use crate::outbox::Outbox;
 use crate::proto::{
     batch_response_to_json, canonical_json, error_to_json, fresh_span_id, fresh_trace_id,
     overloaded_to_json, parse_request, value_to_json, BatchRequest, ErrorKind, HelloResponse,
@@ -54,100 +57,48 @@ use mosc_obs::{
     bucket_upper, FlightKind, FlightRecorder, TraceContext, TraceSnapshot, LOG_BUCKETS,
 };
 use std::fs::File;
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 pub use crate::proto::ServeStats;
 
-/// How long a blocked reader waits before re-checking the shutdown flag.
-/// This bounds the drain latency contributed by idle connections.
-const READ_POLL: Duration = Duration::from_millis(200);
-
-/// Which connection-handling front end drives the worker pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Frontend {
-    /// One reader thread per connection (the original front end). Simple
-    /// and fine for tens of clients; each connection costs a thread.
-    #[default]
-    Threads,
-    /// A single nonblocking I/O thread owning every socket (epoll on
-    /// Linux, poll(2) elsewhere or with the `poll-backend` feature).
-    /// Holds tens of thousands of connections; bit-compatible with
-    /// [`Frontend::Threads`] on the wire.
-    Evloop,
-}
-
-impl std::str::FromStr for Frontend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threads" => Ok(Self::Threads),
-            "evloop" => Ok(Self::Evloop),
-            other => Err(format!("unknown frontend '{other}' (expected 'threads' or 'evloop')")),
-        }
-    }
-}
-
-impl std::fmt::Display for Frontend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::Threads => "threads",
-            Self::Evloop => "evloop",
-        })
-    }
-}
-
-/// Daemon configuration.
+/// Fluent configuration for a [`Server`], and the only way to build one.
+/// The builder is also the configuration the running server consults.
+///
+/// ```no_run
+/// use mosc_serve::Server;
+/// use std::time::Duration;
+///
+/// let server = Server::builder()
+///     .addr("127.0.0.1:0")
+///     .workers(4)
+///     .queue_capacity(256)
+///     .cache_capacity(1024)
+///     .default_deadline(Duration::from_secs(5))
+///     .idle_timeout(Duration::from_secs(300))
+///     .bind()
+///     .expect("bind");
+/// ```
 #[derive(Debug, Clone)]
-pub struct ServeOptions {
-    /// Listen address, e.g. `127.0.0.1:7070` (`:0` picks a free port).
-    pub addr: String,
-    /// Worker threads solving queued requests (`0` = all available cores).
-    pub workers: usize,
-    /// Bounded queue capacity; pushes beyond it answer `overloaded`.
-    pub queue_capacity: usize,
-    /// LRU solution-cache capacity (`0` disables caching).
-    pub cache_capacity: usize,
-    /// Deadline applied to requests that do not carry their own.
-    pub default_deadline: Option<Duration>,
-    /// Structured JSONL access log path (`None` disables it). The file is
-    /// truncated at bind time: one run, one log.
-    pub access_log: Option<String>,
-    /// Requests whose total latency reaches this threshold get their solver
-    /// span tree attached to the access-log line (needs the `mosc-obs`
-    /// recorder enabled for the spans to exist).
-    pub slow_threshold: Duration,
-    /// Windowed timeline JSONL path (`None` disables it). Every completed
-    /// request lands in a [`mosc_obs::Timeline`] window; closed windows are
-    /// appended as `{"type":"timeline",...}` lines. Unlike the latency
-    /// histograms this is not gated on the `mosc-obs` recorder — the
-    /// timeline is explicitly opted into by setting the path.
-    pub timeline: Option<String>,
-    /// Width of one timeline window.
-    pub timeline_window: Duration,
-    /// Which connection-handling front end to run.
-    pub frontend: Frontend,
-    /// Close connections that have been idle (no bytes received, no
-    /// responses pending) for this long. `None` keeps them forever — the
-    /// historical behavior, and the default.
-    pub idle_timeout: Option<Duration>,
-    /// Flight-recorder dump path (`None` disables the recorder entirely).
-    /// When set, every request milestone lands in a fixed-size in-memory
-    /// ring, and each anomaly — deadline exceeded, queue saturation, a
-    /// request over [`Self::slow_threshold`], a worker panic — snapshots
-    /// the ring into one `{"type":"flight_dump"}` JSONL line here. The
-    /// file is truncated at bind time, like the access log.
-    pub flight_dump: Option<String>,
-    /// Flight-recorder ring capacity in entries (rounded up to a power of
-    /// two; ignored unless [`Self::flight_dump`] is set).
-    pub flight_capacity: usize,
+pub struct ServeBuilder {
+    addr: String,
+    workers: usize,
+    queue_capacity: usize,
+    cache_capacity: usize,
+    default_deadline: Option<Duration>,
+    access_log: Option<String>,
+    slow_threshold: Duration,
+    timeline: Option<String>,
+    timeline_window: Duration,
+    pub(crate) idle_timeout: Option<Duration>,
+    flight_dump: Option<String>,
+    flight_capacity: usize,
 }
 
-impl Default for ServeOptions {
+impl Default for ServeBuilder {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:7070".into(),
@@ -159,7 +110,6 @@ impl Default for ServeOptions {
             slow_threshold: Duration::from_millis(100),
             timeline: None,
             timeline_window: Duration::from_secs(1),
-            frontend: Frontend::Threads,
             idle_timeout: None,
             flight_dump: None,
             flight_capacity: mosc_obs::DEFAULT_FLIGHT_CAPACITY,
@@ -167,30 +117,9 @@ impl Default for ServeOptions {
     }
 }
 
-/// Fluent configuration for a [`Server`]: the blessed construction API.
-///
-/// ```no_run
-/// use mosc_serve::{Frontend, Server};
-/// use std::time::Duration;
-///
-/// let server = Server::builder()
-///     .addr("127.0.0.1:0")
-///     .frontend(Frontend::Evloop)
-///     .workers(4)
-///     .queue_capacity(256)
-///     .cache_capacity(1024)
-///     .default_deadline(Duration::from_secs(5))
-///     .idle_timeout(Duration::from_secs(300))
-///     .bind()
-///     .expect("bind");
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ServeBuilder {
-    opts: ServeOptions,
-}
-
 impl ServeBuilder {
-    /// Starts from [`ServeOptions::default`].
+    /// Starts from the defaults: `127.0.0.1:7070`, one worker per core, a
+    /// 64-slot queue, a 128-entry cache, no deadline, no sinks.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -199,103 +128,98 @@ impl ServeBuilder {
     /// Listen address, e.g. `127.0.0.1:7070` (`:0` picks a free port).
     #[must_use]
     pub fn addr(mut self, addr: impl Into<String>) -> Self {
-        self.opts.addr = addr.into();
+        self.addr = addr.into();
         self
     }
 
     /// Worker threads solving queued requests (`0` = all available cores).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
-        self.opts.workers = workers;
+        self.workers = workers;
         self
     }
 
     /// Bounded queue capacity; pushes beyond it answer `overloaded`.
     #[must_use]
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.opts.queue_capacity = capacity;
+        self.queue_capacity = capacity;
         self
     }
 
     /// LRU solution-cache capacity (`0` disables caching).
     #[must_use]
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.opts.cache_capacity = capacity;
+        self.cache_capacity = capacity;
         self
     }
 
     /// Deadline applied to requests that do not carry their own.
     #[must_use]
     pub fn default_deadline(mut self, deadline: Duration) -> Self {
-        self.opts.default_deadline = Some(deadline);
+        self.default_deadline = Some(deadline);
         self
     }
 
-    /// Structured JSONL access-log sink (truncated at bind: one run, one
-    /// log).
+    /// Structured JSONL access-log sink, one line per completed request
+    /// (truncated at bind: one run, one log).
     #[must_use]
     pub fn access_log(mut self, path: impl Into<String>) -> Self {
-        self.opts.access_log = Some(path.into());
+        self.access_log = Some(path.into());
         self
     }
 
-    /// Requests at least this slow get their span tree attached to the
-    /// access-log line.
+    /// Requests at least this slow (default 100 ms) get their solver span
+    /// tree attached to the access-log line; the spans exist only while
+    /// the `mosc-obs` recorder is enabled.
     #[must_use]
     pub fn slow_threshold(mut self, threshold: Duration) -> Self {
-        self.opts.slow_threshold = threshold;
+        self.slow_threshold = threshold;
         self
     }
 
-    /// Windowed timeline JSONL sink.
+    /// Windowed timeline JSONL sink: every completed request lands in a
+    /// [`mosc_obs::Timeline`] window, and closed windows are appended as
+    /// `{"type":"timeline",...}` lines. Unlike the latency histograms it
+    /// does not need the `mosc-obs` recorder.
     #[must_use]
     pub fn timeline(mut self, path: impl Into<String>) -> Self {
-        self.opts.timeline = Some(path.into());
+        self.timeline = Some(path.into());
         self
     }
 
-    /// Width of one timeline window.
+    /// Width of one timeline window (default 1 s).
     #[must_use]
     pub fn timeline_window(mut self, window: Duration) -> Self {
-        self.opts.timeline_window = window;
+        self.timeline_window = window;
         self
     }
 
-    /// Which connection-handling front end to run.
-    #[must_use]
-    pub fn frontend(mut self, frontend: Frontend) -> Self {
-        self.opts.frontend = frontend;
-        self
-    }
-
-    /// Close connections idle (no bytes, no pending responses) this long.
+    /// Close connections idle (no bytes received, no responses pending)
+    /// this long. Without it, connections are kept forever.
     #[must_use]
     pub fn idle_timeout(mut self, timeout: Duration) -> Self {
-        self.opts.idle_timeout = Some(timeout);
+        self.idle_timeout = Some(timeout);
         self
     }
 
-    /// Flight-recorder dump sink: anomalies snapshot the milestone ring
-    /// into `{"type":"flight_dump"}` JSONL lines at this path.
+    /// Flight-recorder dump sink; without it the recorder is off. Every
+    /// request milestone lands in a fixed-size in-memory ring, and each
+    /// anomaly — deadline exceeded, queue saturation, a request over the
+    /// slow threshold, a worker panic — snapshots the ring into one
+    /// `{"type":"flight_dump"}` JSONL line at this path (truncated at
+    /// bind, like the access log).
     #[must_use]
     pub fn flight_dump(mut self, path: impl Into<String>) -> Self {
-        self.opts.flight_dump = Some(path.into());
+        self.flight_dump = Some(path.into());
         self
     }
 
     /// Flight-recorder ring capacity in entries (rounded up to a power of
-    /// two).
+    /// two; ignored without [`Self::flight_dump`]).
     #[must_use]
     pub fn flight_capacity(mut self, capacity: usize) -> Self {
-        self.opts.flight_capacity = capacity;
+        self.flight_capacity = capacity;
         self
-    }
-
-    /// The assembled options (the builder's backing store), for callers
-    /// that need to inspect or persist the configuration.
-    #[must_use]
-    pub fn options(&self) -> &ServeOptions {
-        &self.opts
     }
 
     /// Binds the listen socket and creates the configured sinks; the
@@ -303,9 +227,42 @@ impl ServeBuilder {
     ///
     /// # Errors
     /// I/O errors from binding, inspecting the socket, or creating the
-    /// access-log/timeline files.
+    /// access-log/timeline/flight-dump files.
     pub fn bind(self) -> std::io::Result<Server> {
-        Server::bind_with(self.opts)
+        let listener = TcpListener::bind(&self.addr)?;
+        let addr = listener.local_addr()?;
+        let access = match &self.access_log {
+            None => None,
+            Some(path) => Some(Mutex::new(File::create(path)?)),
+        };
+        let timeline = match &self.timeline {
+            None => None,
+            Some(path) => Some((
+                mosc_obs::Timeline::new(self.timeline_window.as_secs_f64()),
+                Mutex::new(File::create(path)?),
+            )),
+        };
+        let flight = match &self.flight_dump {
+            None => None,
+            Some(path) => {
+                let recorder = FlightRecorder::new(self.flight_capacity);
+                recorder.enable();
+                Some((recorder, Mutex::new(File::create(path)?)))
+            }
+        };
+        let shared = Arc::new(Shared {
+            queue: BoundedQueue::new(self.queue_capacity),
+            cache: Mutex::new(LruCache::new(self.cache_capacity)),
+            metrics: ServeMetrics::new(),
+            access,
+            timeline,
+            flight,
+            start: Instant::now(),
+            shutdown: AtomicBool::new(false),
+            addr,
+            opts: self,
+        });
+        Ok(Server { listener, shared })
     }
 }
 
@@ -349,7 +306,8 @@ pub(crate) struct Job {
     /// consumes one seq per variant (variant `i` logs as `seq + i`), so the
     /// per-connection sequence stays collision-free for the M093 lint.
     seq: u64,
-    writer: ConnWriter,
+    /// Where the response goes: the event loop's completion outbox.
+    outbox: Arc<Outbox>,
     deadline_at: Option<Instant>,
     t_recv: Instant,
     t_enqueue: Instant,
@@ -364,50 +322,14 @@ enum Payload {
     Single(SolveRequest, CacheKey),
     /// Many variants of one shared platform. The second field is the
     /// canonical platform serialization — the interning-registry preimage —
-    /// computed once on the reader thread.
+    /// computed once on the I/O thread.
     Batch(BatchRequest, String),
 }
 
-/// Where a connection's response lines go. The worker pool is front-end
-/// agnostic: the threaded front end hands it a mutex-serialized socket
-/// clone, the event loop a handle into its completion outbox. Either way
-/// each response is framed as exactly one line and lands unfragmented.
-#[derive(Clone)]
-pub(crate) enum ConnWriter {
-    /// Threaded front end: write directly; the mutex keeps reader-thread
-    /// answers and worker answers from interleaving bytes.
-    Direct(Arc<Mutex<TcpStream>>),
-    /// Event-loop front end: queue the framed line for the I/O thread
-    /// (which owns the socket) and wake it.
-    #[cfg(unix)]
-    Event {
-        /// Which connection the line answers.
-        conn: u64,
-        /// The event loop's completion outbox.
-        outbox: Arc<crate::evloop::Outbox>,
-    },
-}
-
-impl ConnWriter {
-    /// Hands one framed (newline-terminated) response line to the socket.
-    /// Write errors mean the client went away; the daemon has nothing
-    /// useful to do about it.
-    fn write_line(&self, framed: String) {
-        match self {
-            Self::Direct(stream) => {
-                let mut stream = stream.lock().unwrap_or_else(PoisonError::into_inner);
-                let _ = stream.write_all(framed.as_bytes());
-            }
-            #[cfg(unix)]
-            Self::Event { conn, outbox } => outbox.push(*conn, framed),
-        }
-    }
-}
-
-/// State shared by the front end (accept loop + readers, or the event
-/// loop) and the workers.
+/// State shared by the event loop and the workers.
 pub(crate) struct Shared {
-    pub(crate) opts: ServeOptions,
+    /// The configuration the server was built with.
+    pub(crate) opts: ServeBuilder,
     addr: SocketAddr,
     pub(crate) queue: BoundedQueue<Job>,
     cache: Mutex<LruCache>,
@@ -421,9 +343,6 @@ pub(crate) struct Shared {
     flight: Option<(FlightRecorder, Mutex<File>)>,
     start: Instant,
     pub(crate) shutdown: AtomicBool,
-    /// Connection-id allocator; ids start at 1 so `conn` is never falsy in
-    /// log-processing tools.
-    pub(crate) conns: AtomicU64,
 }
 
 impl Shared {
@@ -508,57 +427,6 @@ impl Server {
         ServeBuilder::new()
     }
 
-    /// Binds the listen socket from a positional options struct.
-    ///
-    /// # Errors
-    /// I/O errors from binding, inspecting the socket, or creating the
-    /// access-log file.
-    #[deprecated(note = "construct through `Server::builder()` (ServeBuilder); \
-                the positional ServeOptions surface is frozen")]
-    pub fn bind(opts: ServeOptions) -> std::io::Result<Self> {
-        Self::bind_with(opts)
-    }
-
-    /// Binds the listen socket and (when configured) creates the access
-    /// log. The server only starts serving on [`run`](Self::run).
-    fn bind_with(opts: ServeOptions) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(&opts.addr)?;
-        let addr = listener.local_addr()?;
-        let access = match &opts.access_log {
-            None => None,
-            Some(path) => Some(Mutex::new(File::create(path)?)),
-        };
-        let timeline = match &opts.timeline {
-            None => None,
-            Some(path) => Some((
-                mosc_obs::Timeline::new(opts.timeline_window.as_secs_f64()),
-                Mutex::new(File::create(path)?),
-            )),
-        };
-        let flight = match &opts.flight_dump {
-            None => None,
-            Some(path) => {
-                let recorder = FlightRecorder::new(opts.flight_capacity);
-                recorder.enable();
-                Some((recorder, Mutex::new(File::create(path)?)))
-            }
-        };
-        let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(opts.queue_capacity),
-            cache: Mutex::new(LruCache::new(opts.cache_capacity)),
-            metrics: ServeMetrics::new(),
-            access,
-            timeline,
-            flight,
-            start: Instant::now(),
-            shutdown: AtomicBool::new(false),
-            conns: AtomicU64::new(0),
-            addr,
-            opts,
-        });
-        Ok(Self { listener, shared })
-    }
-
     /// The bound address (useful with `:0`).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
@@ -577,92 +445,113 @@ impl Server {
     /// `serve_summary` trailer lines.
     ///
     /// # Errors
-    /// Fatal accept-loop / event-loop I/O errors only; per-connection
-    /// errors are contained to their connection.
+    /// Fatal event-loop I/O errors only (`Unsupported` off unix);
+    /// per-connection errors are contained to their connection.
     pub fn run(self) -> std::io::Result<()> {
-        match self.shared.opts.frontend {
-            Frontend::Threads => {
-                self.run_threads();
-                Ok(())
-            }
-            #[cfg(unix)]
-            Frontend::Evloop => self.run_evloop(),
-            #[cfg(not(unix))]
-            Frontend::Evloop => Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "the evloop frontend needs poll(2)/epoll and is unix-only",
-            )),
-        }
-    }
-
-    /// The original front end: blocking accept loop, one reader thread per
-    /// connection.
-    fn run_threads(self) {
-        let shared = &self.shared;
-        std::thread::scope(|scope| {
-            for _ in 0..shared.worker_count() {
-                scope.spawn(|| worker_loop(shared));
-            }
-            for stream in self.listener.incoming() {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
+        #[cfg(not(unix))]
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "the event loop needs poll(2)/epoll and is unix-only",
+        ));
+        #[cfg(unix)]
+        {
+            let shared = &self.shared;
+            let result = std::thread::scope(|scope| {
+                for _ in 0..shared.worker_count() {
+                    scope.spawn(|| worker_loop(shared));
                 }
-                let Ok(stream) = stream else { continue };
-                scope.spawn(|| handle_connection(stream, shared));
-            }
-            // Drain: no new work, workers finish what is queued, readers
-            // notice the flag within READ_POLL and exit.
-            shared.queue.close();
-        });
-        write_access_trailer(shared);
-        write_timeline_trailer(shared);
-    }
-
-    /// The event-loop front end: one nonblocking I/O thread owns every
-    /// socket; the same worker pool runs behind it.
-    #[cfg(unix)]
-    fn run_evloop(self) -> std::io::Result<()> {
-        let shared = &self.shared;
-        let result = std::thread::scope(|scope| {
-            for _ in 0..shared.worker_count() {
-                scope.spawn(|| worker_loop(shared));
-            }
-            let result = crate::evloop::run(&self.listener, shared);
-            // The event loop closes the queue when its drain starts; an
-            // early error must still release the blocked workers.
-            shared.queue.close();
+                let result = crate::evloop::run(&self.listener, shared);
+                // The event loop closes the queue when its drain starts; an
+                // early error must still release the blocked workers.
+                shared.queue.close();
+                result
+            });
+            write_access_trailer(shared);
+            write_timeline_trailer(shared);
             result
-        });
-        write_access_trailer(shared);
-        write_timeline_trailer(shared);
-        result
+        }
     }
 }
 
 /// The worker side: pop, enforce the deadline, consult the cache, solve,
-/// respond. A panicking solve must not shrink the worker pool for the rest
-/// of the process lifetime, so each job runs under `catch_unwind`; a panic
-/// is recorded as a flight anomaly (with a ring dump) and the worker moves
-/// on. The poisoned-mutex consequences are already handled everywhere via
-/// `PoisonError::into_inner`.
+/// respond.
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
-        let t_dequeue = Instant::now();
-        shared.metrics.on_queue_depth(shared.queue.len() as u64);
-        let wait_us = t_dequeue.saturating_duration_since(job.t_enqueue).as_micros() as u64;
-        flight_record(shared, FlightKind::Dequeue, job.trace, wait_us);
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &job.payload {
-                Payload::Single(req, key) => process_job(shared, &job, req, key, t_dequeue),
-                Payload::Batch(req, canonical_platform) => {
-                    process_batch(shared, &job, req, canonical_platform, t_dequeue);
-                }
-            }));
-        if outcome.is_err() {
-            flight_record(shared, FlightKind::Panic, job.trace, 0);
-            flight_dump(shared, "panic");
+        run_job(shared, &job, |shared, job, t_dequeue| match &job.payload {
+            Payload::Single(req, key) => process_job(shared, job, req, key, t_dequeue),
+            Payload::Batch(req, canonical_platform) => {
+                process_batch(shared, job, req, canonical_platform, t_dequeue);
+            }
+        });
+    }
+}
+
+/// Runs one dequeued job. A panicking solve must not shrink the worker
+/// pool for the rest of the process lifetime, so the job runs under
+/// `catch_unwind`. A panic is recorded as a flight anomaly (with a ring
+/// dump) and still answers the line with one `internal` error: the event
+/// loop retires a connection only once every line it dispatched has its
+/// response. The poisoned-mutex consequences are already handled
+/// everywhere via `PoisonError::into_inner`.
+fn run_job(shared: &Shared, job: &Job, work: impl FnOnce(&Shared, &Job, Instant)) {
+    let t_dequeue = Instant::now();
+    shared.metrics.on_queue_depth(shared.queue.len() as u64);
+    let wait_us = t_dequeue.saturating_duration_since(job.t_enqueue).as_micros() as u64;
+    flight_record(shared, FlightKind::Dequeue, job.trace, wait_us);
+    let outcome =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(shared, job, t_dequeue)));
+    if let Err(payload) = outcome {
+        flight_record(shared, FlightKind::Panic, job.trace, 0);
+        flight_dump(shared, "panic");
+        let what = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("no message");
+        answer_panicked(shared, job, t_dequeue, &format!("the solver panicked: {what}"));
+    }
+}
+
+/// The one response line of a job whose processing panicked: an
+/// `internal` error under the line's own id (the batch id for a batch),
+/// recorded like any other completion.
+fn answer_panicked(shared: &Shared, job: &Job, t_dequeue: Instant, message: &str) {
+    match &job.payload {
+        Payload::Single(req, key) => finish(
+            shared,
+            &job.outbox,
+            &error_to_json(&req.id, ErrorKind::Internal.id(), message),
+            &Completion {
+                status: "error",
+                ..Completion::dequeued(job, &req.id, req.kind, key.hash, t_dequeue)
+            },
+        ),
+        Payload::Batch(req, _) => {
+            answer_batch_error(shared, job, &req.id, t_dequeue, ErrorKind::Internal, message);
         }
     }
+}
+
+/// Answers a whole batch line with one error line, logged under the
+/// batch's first seq.
+fn answer_batch_error(
+    shared: &Shared,
+    job: &Job,
+    bid: &str,
+    t_dequeue: Instant,
+    kind: ErrorKind,
+    message: &str,
+) {
+    let c = Completion {
+        t_enqueue: job.t_enqueue,
+        queue_wait: t_dequeue.saturating_duration_since(job.t_enqueue).as_secs_f64(),
+        service_start: t_dequeue,
+        batch: Some(bid),
+        ids: job.trace,
+        ..Completion::proto(bid, "solve_batch", "error", job.t_recv, job.conn, job.seq)
+    };
+    let stamped = record_completion(shared, &c, Instant::now());
+    respond(shared, &job.outbox, bid, &error_to_json(bid, kind.id(), message), stamped);
 }
 
 /// Everything [`finish`] needs to close out one request: identity, timing
@@ -684,8 +573,8 @@ struct Completion<'a> {
     /// fills on it); `None` for protocol ops.
     key: Option<u64>,
     t_recv: Instant,
-    /// Queue-push time; reader-thread answers never queue, so it equals
-    /// `t_recv` for them.
+    /// Queue-push time; answers made on the I/O thread never queue, so it
+    /// equals `t_recv` for them.
     t_enqueue: Instant,
     queue_wait: f64,
     service_start: Instant,
@@ -731,18 +620,62 @@ impl<'a> Completion<'a> {
             ids: TraceIds::continue_from(None),
         }
     }
+
+    /// A solve (or one batch variant) received at `t_recv` and answered
+    /// without queueing, until the caller overrides the outcome fields.
+    fn solve(
+        id: &'a str,
+        kind: SolverKind,
+        key: u64,
+        t_recv: Instant,
+        conn: u64,
+        seq: u64,
+        ids: TraceIds,
+    ) -> Self {
+        Self {
+            id,
+            op: "solve",
+            solver: Some(kind),
+            status: "ok",
+            cached: false,
+            conn,
+            seq,
+            key: Some(key),
+            t_recv,
+            t_enqueue: t_recv,
+            queue_wait: 0.0,
+            service_start: t_recv,
+            deadline_at: None,
+            kernel: KernelDelta::default(),
+            trace: None,
+            batch: None,
+            ids,
+        }
+    }
+
+    /// A solve of `job`'s line, dequeued by a worker at `t_dequeue`.
+    fn dequeued(job: &Job, id: &'a str, kind: SolverKind, key: u64, t_dequeue: Instant) -> Self {
+        Self {
+            t_enqueue: job.t_enqueue,
+            queue_wait: t_dequeue.saturating_duration_since(job.t_enqueue).as_secs_f64(),
+            service_start: t_dequeue,
+            deadline_at: job.deadline_at,
+            ..Self::solve(id, kind, key, job.t_recv, job.conn, job.seq, job.trace)
+        }
+    }
 }
 
-/// Proof that [`record_completion`] ran for a request. The response
-/// writers ([`respond`], [`respond_proto`]) each consume one, so
-/// "stamp the histograms/timeline/access log, **then** write the bytes" is
+/// Proof that [`record_completion`] ran for a request, naming the
+/// connection the request came in on, which is where the response goes.
+/// The response writers ([`respond`], [`respond_proto`]) each consume one,
+/// so "stamp the histograms/timeline/access log, **then** write the bytes" is
 /// the only order the code can express. The guarantee this buys: a client
 /// that reads its response and immediately scrapes `stats`, `metrics`, or
 /// the access log is certain to see its own request already recorded —
-/// including the reader-thread cache-hit fast path, which used to make
+/// including the I/O thread's cache-hit fast path, which used to make
 /// that ordering a per-call-site convention rather than a type invariant.
 #[must_use = "a completion stamp exists to be spent on the response write"]
-struct Stamped(());
+struct Stamped(u64);
 
 /// Records the request's phase latencies into the per-op histograms,
 /// appends the access-log line, then writes the response. The single exit
@@ -752,12 +685,12 @@ struct Stamped(());
 /// is guaranteed to see its own request counted. The phases therefore
 /// exclude the socket write itself, which is microseconds against
 /// millisecond solves.
-fn finish(shared: &Shared, writer: &ConnWriter, line: &str, c: &Completion<'_>) {
+fn finish(shared: &Shared, outbox: &Outbox, line: &str, c: &Completion<'_>) {
     let stamped = record_completion(shared, c, Instant::now());
     if c.solver.is_some() {
-        respond(shared, writer, c.id, line, stamped);
+        respond(shared, outbox, c.id, line, stamped);
     } else {
-        respond_proto(shared, writer, line, stamped);
+        respond_proto(shared, outbox, line, stamped);
     }
 }
 
@@ -782,7 +715,7 @@ fn record_completion(shared: &Shared, c: &Completion<'_>, done: Instant) -> Stam
     }
     record_timeline(shared, total, c.cached);
     log_access(shared, c, done, service, total);
-    Stamped(())
+    Stamped(c.conn)
 }
 
 /// Lands one completion in the windowed timeline (when configured) and
@@ -1035,26 +968,7 @@ fn write_access_trailer(shared: &Shared) {
 
 fn process_job(shared: &Shared, job: &Job, req: &SolveRequest, key: &CacheKey, t_dequeue: Instant) {
     let id = &req.id;
-    let queue_wait = t_dequeue.saturating_duration_since(job.t_enqueue).as_secs_f64();
-    let base = Completion {
-        id,
-        op: "solve",
-        solver: Some(req.kind),
-        status: "ok",
-        cached: false,
-        conn: job.conn,
-        seq: job.seq,
-        key: Some(key.hash),
-        t_recv: job.t_recv,
-        t_enqueue: job.t_enqueue,
-        queue_wait,
-        service_start: t_dequeue,
-        deadline_at: job.deadline_at,
-        kernel: KernelDelta::default(),
-        trace: None,
-        batch: None,
-        ids: job.trace,
-    };
+    let base = Completion::dequeued(job, id, req.kind, key.hash, t_dequeue);
     // Deadline may already have burned off while queued.
     let remaining = match job.deadline_at {
         None => None,
@@ -1066,7 +980,7 @@ fn process_job(shared: &Shared, job: &Job, req: &SolveRequest, key: &CacheKey, t
                 flight_dump(shared, "deadline");
                 finish(
                     shared,
-                    &job.writer,
+                    &job.outbox,
                     &error_to_json(id, "deadline", "deadline expired while queued"),
                     &Completion { status: "error", ..base },
                 );
@@ -1077,8 +991,8 @@ fn process_job(shared: &Shared, job: &Job, req: &SolveRequest, key: &CacheKey, t
     // A duplicate may have filled the cache while this job waited.
     if let Some(hit) = shared.lock_cache().get(key) {
         shared.metrics.on_cache_hit();
-        let line = render_ok(req, &hit, true);
-        finish(shared, &job.writer, &line, &Completion { cached: true, ..base });
+        let line = render_ok(&req.id, req.want_schedule, &hit, true);
+        finish(shared, &job.outbox, &line, &Completion { cached: true, ..base });
         return;
     }
     shared.metrics.on_cache_miss();
@@ -1089,7 +1003,7 @@ fn process_job(shared: &Shared, job: &Job, req: &SolveRequest, key: &CacheKey, t
         Err(e) => {
             finish(
                 shared,
-                &job.writer,
+                &job.outbox,
                 &error_to_json(id, "usage", &e.to_string()),
                 &Completion { status: "error", ..base },
             );
@@ -1119,7 +1033,7 @@ fn process_job(shared: &Shared, job: &Job, req: &SolveRequest, key: &CacheKey, t
                 flight_dump(shared, "deadline");
                 finish(
                     shared,
-                    &job.writer,
+                    &job.outbox,
                     &error_to_json(id, "deadline", "deadline expired during solve"),
                     &Completion {
                         status: "error",
@@ -1130,23 +1044,14 @@ fn process_job(shared: &Shared, job: &Job, req: &SolveRequest, key: &CacheKey, t
                 );
                 return;
             }
-            let cached = CachedSolve {
-                solver: req.kind,
-                throughput: report.solution.throughput,
-                peak_c: report.solution.peak_c(&platform),
-                feasible: report.solution.feasible,
-                m: report.solution.m,
-                wall_ms: report.wall.as_secs_f64() * 1e3,
-                stats: report.stats,
-                schedule_text: mosc_sched::text::to_text(&report.solution.schedule),
-            };
-            let line = render_ok(req, &cached, false);
+            let cached = CachedSolve::of_report(req.kind, &report, &platform);
+            let line = render_ok(&req.id, req.want_schedule, &cached, false);
             if shared.lock_cache().insert(key, cached) {
                 shared.metrics.on_cache_eviction();
             }
             finish(
                 shared,
-                &job.writer,
+                &job.outbox,
                 &line,
                 &Completion { kernel: report.kernel, trace: Some(trace.snapshot()), ..base },
             );
@@ -1158,7 +1063,7 @@ fn process_job(shared: &Shared, job: &Job, req: &SolveRequest, key: &CacheKey, t
             }
             finish(
                 shared,
-                &job.writer,
+                &job.outbox,
                 &error_to_json(id, kind.id(), &e.to_string()),
                 &Completion { status: "error", trace: Some(trace.snapshot()), ..base },
             );
@@ -1187,7 +1092,6 @@ fn process_batch(
     canonical_platform: &str,
     t_dequeue: Instant,
 ) {
-    let queue_wait = t_dequeue.saturating_duration_since(job.t_enqueue).as_secs_f64();
     let bid = &req.id;
     // Resolve the platform once. Eigendecomposition work across the resolve
     // is measured so the access log can prove a warm batch did none — the
@@ -1203,23 +1107,8 @@ fn process_batch(
         Ok(resolved) => resolved,
         Err(e) => {
             // Every variant shares the broken platform: one error line for
-            // the whole batch, logged under the batch's first seq.
-            let c = Completion {
-                t_enqueue: job.t_enqueue,
-                queue_wait,
-                service_start: t_dequeue,
-                batch: Some(bid),
-                ids: job.trace,
-                ..Completion::proto(bid, "solve_batch", "error", job.t_recv, job.conn, job.seq)
-            };
-            let stamped = record_completion(shared, &c, Instant::now());
-            respond(
-                shared,
-                &job.writer,
-                bid,
-                &error_to_json(bid, "usage", &e.to_string()),
-                stamped,
-            );
+            // the whole batch.
+            answer_batch_error(shared, job, bid, t_dequeue, ErrorKind::Usage, &e.to_string());
             return;
         }
     };
@@ -1235,7 +1124,7 @@ fn process_batch(
         if let Some(hit) = shared.lock_cache().get(&keys[i]) {
             shared.metrics.on_cache_hit();
             outcomes.push(Some(VariantOutcome {
-                line: render_variant_ok(&ids[i], v.want_schedule, &hit, true),
+                line: render_ok(&ids[i], v.want_schedule, &hit, true),
                 status: "ok",
                 cached: true,
                 kernel: KernelDelta::default(),
@@ -1255,17 +1144,8 @@ fn process_batch(
         let v = &req.variants[i];
         outcomes[i] = Some(match result {
             Ok(report) => {
-                let cached = CachedSolve {
-                    solver: v.kind,
-                    throughput: report.solution.throughput,
-                    peak_c: report.solution.peak_c(&platform),
-                    feasible: report.solution.feasible,
-                    m: report.solution.m,
-                    wall_ms: report.wall.as_secs_f64() * 1e3,
-                    stats: report.stats,
-                    schedule_text: mosc_sched::text::to_text(&report.solution.schedule),
-                };
-                let line = render_variant_ok(&ids[i], v.want_schedule, &cached, false);
+                let cached = CachedSolve::of_report(v.kind, &report, &platform);
+                let line = render_ok(&ids[i], v.want_schedule, &cached, false);
                 if shared.lock_cache().insert(&keys[i], cached) {
                     shared.metrics.on_cache_eviction();
                 }
@@ -1299,43 +1179,28 @@ fn process_batch(
             o.kernel.eigen_calls = o.kernel.eigen_calls.saturating_add(resolve_eigs);
         }
         let c = Completion {
-            id: &ids[i],
-            op: "solve",
-            solver: Some(req.variants[i].kind),
             status: o.status,
             cached: o.cached,
-            conn: job.conn,
             seq: job.seq + i as u64,
-            key: Some(keys[i].hash),
-            t_recv: job.t_recv,
-            t_enqueue: job.t_enqueue,
-            queue_wait,
-            service_start: t_dequeue,
-            deadline_at: None,
             kernel: o.kernel,
-            trace: None,
             batch: Some(bid),
             // Every variant is a child span of the batch's dispatch span:
             // one shared trace id, one shared parent, a fresh span each —
             // the containment the M122 lint asserts.
             ids: job.trace.child(),
+            ..Completion::dequeued(job, &ids[i], req.variants[i].kind, keys[i].hash, t_dequeue)
         };
         stamped = Some(record_completion(shared, &c, done));
         lines.push(o.line);
     }
     // The parser guarantees at least one variant, so at least one stamp.
     let Some(stamped) = stamped else { return };
-    respond(shared, &job.writer, bid, &batch_response_to_json(bid, warm, &lines), stamped);
+    respond(shared, &job.outbox, bid, &batch_response_to_json(bid, warm, &lines), stamped);
 }
 
-/// Renders an ok response for `req` from a (fresh or cached) solve.
-fn render_ok(req: &SolveRequest, solve: &CachedSolve, cached: bool) -> String {
-    render_variant_ok(&req.id, req.want_schedule, solve, cached)
-}
-
-/// [`render_ok`] with the identity split out: the batch path answers each
-/// variant under a derived id (`"<batch id>#<i>"`).
-fn render_variant_ok(id: &str, want_schedule: bool, solve: &CachedSolve, cached: bool) -> String {
+/// Renders an ok response line under `id` from a (fresh or cached) solve;
+/// batch variants answer under a derived id (`"<batch id>#<i>"`).
+fn render_ok(id: &str, want_schedule: bool, solve: &CachedSolve, cached: bool) -> String {
     SolveResponse {
         id: id.to_owned(),
         solver: solve.solver,
@@ -1355,8 +1220,8 @@ fn render_variant_ok(id: &str, want_schedule: bool, solve: &CachedSolve, cached:
 /// `serve.response` event the M062 lint pairs against `serve.request`.
 /// Demands the caller's [`Stamped`] receipt: no response without its
 /// completion recorded first.
-fn respond(shared: &Shared, writer: &ConnWriter, id: &str, line: &str, stamped: Stamped) {
-    respond_proto(shared, writer, line, stamped);
+fn respond(shared: &Shared, outbox: &Outbox, id: &str, line: &str, stamped: Stamped) {
+    respond_proto(shared, outbox, line, stamped);
     mosc_obs::event("serve.response", &[("id", id_hash(id).into())]);
 }
 
@@ -1368,16 +1233,19 @@ fn respond(shared: &Shared, writer: &ConnWriter, id: &str, line: &str, stamped: 
 // Taking `Stamped` by value (not reference) is the whole point of the
 // receipt: a moved-in token cannot be spent on two response writes.
 #[allow(clippy::needless_pass_by_value)]
-fn respond_proto(shared: &Shared, writer: &ConnWriter, line: &str, stamped: Stamped) {
-    let Stamped(()) = stamped; // spent: the record precedes the write.
-                               // Count before writing: the moment the bytes land, a client may read
-                               // them and query `stats`, and the response it just received must
-                               // already be in the counter.
+fn respond_proto(shared: &Shared, outbox: &Outbox, line: &str, stamped: Stamped) {
+    // Spent here: the record precedes the write.
+    let Stamped(conn) = stamped;
+    // Count before writing: the moment the bytes land, a client may read
+    // them and query `stats`, and the response it just received must
+    // already be in the counter.
     shared.metrics.on_response();
     let mut framed = String::with_capacity(line.len() + 1);
     framed.push_str(line);
     framed.push('\n');
-    writer.write_line(framed);
+    // A line for a connection that has since closed is dropped by the
+    // event loop: the client went away.
+    outbox.push(conn, framed);
 }
 
 /// 32-bit id hash for obs events: event fields travel through JSON numbers
@@ -1386,65 +1254,36 @@ fn id_hash(id: &str) -> u64 {
     fnv1a(id.as_bytes()) & 0xFFFF_FFFF
 }
 
-/// The reader side of the threaded front end: one thread per connection,
-/// line-oriented, polling the shutdown flag between reads.
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    // Responses are single small writes; Nagle + delayed ACK would add tens
-    // of milliseconds of latency per request on an otherwise idle link.
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else { return };
-    let writer = ConnWriter::Direct(Arc::new(Mutex::new(write_half)));
-    let conn = shared.conns.fetch_add(1, Ordering::Relaxed) + 1;
-    let mut seq: u64 = 0;
-    let mut last_activity = Instant::now();
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // EOF: client closed its write half.
-            Ok(_) => {
-                let t_recv = Instant::now();
-                last_activity = t_recv;
-                let full = std::mem::take(&mut line);
-                let trimmed = full.trim();
-                if !trimmed.is_empty() {
-                    // A line consumes one seq per logged completion — one
-                    // for most requests, one per variant for a batch.
-                    seq += handle_line(trimmed, &writer, shared, t_recv, conn, seq);
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Timeout with a partial line already buffered in `line`:
-                // keep accumulating on the next pass — unless the idle
-                // budget ran out, in which case the connection is dropped.
-                if shared.opts.idle_timeout.is_some_and(|limit| last_activity.elapsed() >= limit) {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
+/// Answers a request line the event loop would not buffer whole with one
+/// `usage` error. Logged and counted like a parse error; consumes one
+/// sequence number.
+pub(crate) fn reject_line(
+    outbox: &Outbox,
+    shared: &Shared,
+    t_recv: Instant,
+    conn: u64,
+    seq: u64,
+    message: &str,
+) {
+    shared.metrics.on_malformed();
+    finish(
+        shared,
+        outbox,
+        &error_to_json("", ErrorKind::Usage.id(), message),
+        &Completion::proto("", "parse", "error", t_recv, conn, seq),
+    );
 }
 
 /// Dispatches the `seq`-th request line of connection `conn`, received at
 /// `t_recv`. Returns how many sequence numbers the line consumed (one per
 /// logged completion: 1 for everything except `solve_batch`, which claims
 /// one per variant). Every non-empty line produces **exactly one**
-/// response line, now or when a worker completes — the event loop's
-/// close-when-drained accounting depends on that invariant.
+/// response line, now or when a worker completes (an `internal` error if
+/// the worker panics) — the event loop's close-when-drained accounting
+/// depends on that invariant.
 pub(crate) fn handle_line(
     line: &str,
-    writer: &ConnWriter,
+    outbox: &Arc<Outbox>,
     shared: &Shared,
     t_recv: Instant,
     conn: u64,
@@ -1456,7 +1295,7 @@ pub(crate) fn handle_line(
             shared.metrics.on_malformed();
             finish(
                 shared,
-                writer,
+                outbox,
                 &error_to_json(&id, kind.id(), &message),
                 &Completion::proto(&id, "parse", "error", t_recv, conn, seq),
             );
@@ -1466,14 +1305,14 @@ pub(crate) fn handle_line(
     match request {
         Request::Ping { id } => {
             let pong = Response::Pong { id: id.clone() }.to_json();
-            finish(shared, writer, &pong, &Completion::proto(&id, "ping", "ok", t_recv, conn, seq));
+            finish(shared, outbox, &pong, &Completion::proto(&id, "ping", "ok", t_recv, conn, seq));
             1
         }
         Request::Stats { id } => {
             let line = Response::Stats { id: id.clone(), stats: shared.stats() }.to_json();
             finish(
                 shared,
-                writer,
+                outbox,
                 &line,
                 &Completion::proto(&id, "stats", "ok", t_recv, conn, seq),
             );
@@ -1488,7 +1327,7 @@ pub(crate) fn handle_line(
             let line = Response::Metrics { id: id.clone(), text }.to_json();
             finish(
                 shared,
-                writer,
+                outbox,
                 &line,
                 &Completion::proto(&id, "metrics", "ok", t_recv, conn, seq),
             );
@@ -1501,7 +1340,7 @@ pub(crate) fn handle_line(
             };
             finish(
                 shared,
-                writer,
+                outbox,
                 &line,
                 &Completion::proto(&id, "hello", status, t_recv, conn, seq),
             );
@@ -1511,7 +1350,7 @@ pub(crate) fn handle_line(
             let bye = Response::ShuttingDown { id: id.clone() }.to_json();
             finish(
                 shared,
-                writer,
+                outbox,
                 &bye,
                 &Completion::proto(&id, "shutdown", "ok", t_recv, conn, seq),
             );
@@ -1527,33 +1366,18 @@ pub(crate) fn handle_line(
                 "serve.request",
                 &[("id", id_hash(&req.id).into()), ("key", (key.hash & 0xFFFF_FFFF).into())],
             );
-            // Fast path: answer cache hits from the reader thread, without
+            // Fast path: answer cache hits on the I/O thread, without
             // occupying a queue slot or a worker.
             if let Some(hit) = shared.lock_cache().get(&key) {
                 shared.metrics.on_cache_hit();
-                let line = render_ok(&req, &hit, true);
+                let line = render_ok(&req.id, req.want_schedule, &hit, true);
                 finish(
                     shared,
-                    writer,
+                    outbox,
                     &line,
                     &Completion {
-                        id: &req.id,
-                        op: "solve",
-                        solver: Some(req.kind),
-                        status: "ok",
                         cached: true,
-                        conn,
-                        seq,
-                        key: Some(key.hash),
-                        t_recv,
-                        t_enqueue: t_recv,
-                        queue_wait: 0.0,
-                        service_start: t_recv,
-                        deadline_at: None,
-                        kernel: KernelDelta::default(),
-                        trace: None,
-                        batch: None,
-                        ids,
+                        ..Completion::solve(&req.id, req.kind, key.hash, t_recv, conn, seq, ids)
                     },
                 );
                 return 1;
@@ -1564,7 +1388,7 @@ pub(crate) fn handle_line(
                 payload: Payload::Single(req, key),
                 conn,
                 seq,
-                writer: writer.clone(),
+                outbox: outbox.clone(),
                 deadline_at,
                 t_recv,
                 t_enqueue: Instant::now(),
@@ -1582,29 +1406,15 @@ pub(crate) fn handle_line(
                     let Payload::Single(req, key) = &job.payload else { unreachable!() };
                     finish(
                         shared,
-                        &job.writer,
+                        &job.outbox,
                         &overloaded_to_json(&req.id),
                         // A rejected job never queued: its enqueue and
                         // dequeue anchors collapse onto `t_recv` so the
                         // logged pipeline order stays monotone.
                         &Completion {
-                            id: &req.id,
-                            op: "solve",
-                            solver: Some(req.kind),
                             status: "overloaded",
-                            cached: false,
-                            conn,
-                            seq,
-                            key: Some(key.hash),
-                            t_recv,
-                            t_enqueue: t_recv,
-                            queue_wait: 0.0,
-                            service_start: t_recv,
                             deadline_at: job.deadline_at,
-                            kernel: KernelDelta::default(),
-                            trace: None,
-                            batch: None,
-                            ids,
+                            ..Completion::solve(&req.id, req.kind, key.hash, t_recv, conn, seq, ids)
                         },
                     );
                 }
@@ -1633,7 +1443,7 @@ pub(crate) fn handle_line(
                 payload: Payload::Batch(req, canonical_platform),
                 conn,
                 seq,
-                writer: writer.clone(),
+                outbox: outbox.clone(),
                 deadline_at: None,
                 t_recv,
                 t_enqueue: Instant::now(),
@@ -1656,7 +1466,7 @@ pub(crate) fn handle_line(
                         ..Completion::proto(&req.id, "solve_batch", "overloaded", t_recv, conn, seq)
                     };
                     let stamped = record_completion(shared, &c, Instant::now());
-                    respond(shared, &job.writer, &req.id, &overloaded_to_json(&req.id), stamped);
+                    respond(shared, &job.outbox, &req.id, &overloaded_to_json(&req.id), stamped);
                 }
             }
             consumed
@@ -1710,6 +1520,50 @@ mod tests {
             Some("000000000000000000000000deadbeef"),
             "the slow exemplar travels as a 32-hex trace id"
         );
+    }
+
+    /// A job whose processing panics still gets exactly one response line,
+    /// an `internal` error under its own id — for a batch too — so the
+    /// event loop's one-response-per-line accounting holds.
+    #[test]
+    fn a_panicking_job_is_answered_with_one_internal_error() {
+        let server = Server::builder().addr("127.0.0.1:0").bind().expect("bind");
+        let shared = &server.shared;
+        let (outbox, _wake_rx) = Outbox::new().expect("outbox");
+        let outbox = Arc::new(outbox);
+        let platform = r#"{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":55.0}"#;
+        let single = format!(r#"{{"id":"s","solver":"ao","platform":{platform}}}"#);
+        let batch = format!(
+            r#"{{"id":"b","op":"solve_batch","platform":{platform},"variants":[{{"solver":"ao"}},{{"solver":"lns"}}]}}"#
+        );
+        for (line, id) in [(single, "s"), (batch, "b")] {
+            let payload = match parse_request(&line).expect("request parses") {
+                Request::Solve(req) => {
+                    let key = cache_key(&req);
+                    Payload::Single(req, key)
+                }
+                Request::SolveBatch(req) => {
+                    let canonical = canonical_json(&req.platform);
+                    Payload::Batch(req, canonical)
+                }
+                other => panic!("not a solve: {other:?}"),
+            };
+            let now = Instant::now();
+            let job = Job {
+                payload,
+                conn: 1,
+                seq: 0,
+                outbox: outbox.clone(),
+                deadline_at: None,
+                t_recv: now,
+                t_enqueue: now,
+                trace: TraceIds::continue_from(None),
+            };
+            run_job(shared, &job, |_, _, _| panic!("injected"));
+            let want = error_to_json(id, "internal", "the solver panicked: injected") + "\n";
+            assert_eq!(Vec::from(outbox.drain()), [(1, want)], "exactly one line for {id}");
+        }
+        assert_eq!(server.handle().stats().responses, 2);
     }
 
     #[test]

@@ -5,38 +5,24 @@
 //! This file is its own test binary and holds exactly one `#[test]`: it
 //! enables the process-global `mosc-obs` recorder, which must not race the
 //! other loopback tests' assumptions.
+#![cfg(unix)]
 
+mod common;
+
+use common::{roundtrip, start};
 use mosc_analyze::json::Value;
 use mosc_serve::Server;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
 
 /// A platform no other test interns: the registry is process-global.
 const PLATFORM: &str = r#"{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":57.0}"#;
-
-fn roundtrip(addr: SocketAddr, line: &str) -> Value {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(line.as_bytes()).expect("send");
-    stream.write_all(b"\n").expect("send newline");
-    let mut reader = BufReader::new(stream);
-    let mut response = String::new();
-    reader.read_line(&mut response).expect("read response");
-    Value::parse(&response).expect("response parses as JSON")
-}
 
 #[test]
 fn batch_access_entries_carry_registry_attribution_and_lint_clean() {
     mosc_obs::enable();
     let log_path =
         std::env::temp_dir().join(format!("mosc-serve-batch-access-{}.jsonl", std::process::id()));
-    let server = Server::builder()
-        .addr("127.0.0.1:0")
-        .workers(2)
-        .access_log(log_path.to_string_lossy().into_owned())
-        .bind()
-        .expect("bind 127.0.0.1:0");
-    let addr = server.local_addr();
-    let join = std::thread::spawn(move || server.run().expect("serve loop"));
+    let (addr, _handle, join) =
+        start(Server::builder().workers(2).access_log(log_path.to_string_lossy().into_owned()));
 
     // Cold batch: the resolve builds the platform, so variant 0's entry
     // carries the eigendecomposition work.

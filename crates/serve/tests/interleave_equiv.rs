@@ -1,14 +1,17 @@
-//! Front-end equivalence property test: for randomized interleaved
-//! multi-connection workloads — pipelined bursts, mid-request disconnects,
-//! deadline expiries, protocol ops — the threaded front end and the event
-//! loop must produce byte-identical response streams (modulo fields that
-//! are volatile by construction: wall-clock timings, cache/registry
-//! warmth, and live counters).
+//! Interleaving property test: for randomized multi-connection workloads —
+//! pipelined bursts, mid-request disconnects, deadline expiries, protocol
+//! ops — each connection's response stream under concurrent interleaving
+//! must be byte-identical to the same script replayed alone on a fresh
+//! server (modulo fields that are volatile by construction: wall-clock
+//! timings, cache/registry warmth, and live counters).
 #![cfg(unix)]
 
+mod common;
+
+use common::start;
 use mosc_analyze::json::Value;
 use mosc_serve::proto::value_to_json;
-use mosc_serve::{Frontend, Server};
+use mosc_serve::Server;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -40,12 +43,13 @@ fn random_script(rng: &mut Rng64, conn: usize) -> Script {
                 0 => format!(r#"{{"id":"{id}","op":"ping"}}"#),
                 1 => format!(r#"{{"id":"{id}","op":"hello","max_version":1}}"#),
                 2 => format!(r#"{{"id":"{id}","op":"nonsense-op"}}"#),
-                // A zero deadline expires while queued: a deterministic
-                // `deadline` error from either front end.
+                // A zero deadline expires while queued: a `deadline`
+                // error, since no line caches an EXS answer it could hit
+                // instead.
                 3 => {
                     let p = PLATFORMS[rng.below(PLATFORMS.len() as u64) as usize];
                     format!(
-                        r#"{{"id":"{id}","solver":"ao","platform":{p},"options":{{"deadline_ms":0}}}}"#
+                        r#"{{"id":"{id}","solver":"exs","platform":{p},"options":{{"deadline_ms":0}}}}"#
                     )
                 }
                 _ => {
@@ -90,20 +94,10 @@ fn mask(doc: &mut Value) {
     }
 }
 
-/// Runs every script against a fresh single-worker server on the given
-/// front end; returns each connection's normalized responses, in
-/// per-connection order.
-fn run_scripts(frontend: Frontend, scripts: &[Script]) -> Vec<Vec<String>> {
-    let server = Server::builder()
-        .addr("127.0.0.1:0")
-        .workers(1)
-        .queue_capacity(64)
-        .frontend(frontend)
-        .bind()
-        .expect("bind 127.0.0.1:0");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("serve loop"));
+/// Runs every script concurrently against a fresh single-worker server;
+/// returns each connection's normalized responses, sorted.
+fn run_scripts(scripts: &[Script]) -> Vec<Vec<String>> {
+    let (addr, handle, join) = start(Server::builder().workers(1).queue_capacity(64));
 
     let clients: Vec<_> = scripts
         .iter()
@@ -134,32 +128,37 @@ fn run_client(addr: SocketAddr, script: &Script) -> Vec<String> {
         let _ = stream.write_all(tail.as_bytes());
     }
     drop(stream);
-    // Reader-answered ops (ping, cache hits) race worker-answered solves
-    // on *both* front ends, so per-connection arrival order of mixed kinds
-    // is legitimately nondeterministic; the response *set* per connection
-    // is not. Ids embed the request index, so sorting gives a canonical
-    // order.
+    // Ops answered on the I/O thread (ping, cache hits) race
+    // worker-answered solves, so per-connection arrival order of mixed
+    // kinds is legitimately nondeterministic; the response *set* per
+    // connection is not. Ids embed the request index, so sorting gives a
+    // canonical order.
     responses.sort();
     responses
 }
 
+/// Each script replayed alone, one fresh server per script.
+fn run_alone(scripts: &[Script]) -> Vec<Vec<String>> {
+    scripts.iter().map(|script| run_scripts(std::slice::from_ref(script)).remove(0)).collect()
+}
+
 #[test]
-fn both_front_ends_produce_identical_response_streams() {
-    // Few cases, real solves: each case runs two full servers.
-    propcheck_cases("front-end response-stream equivalence", 6, |rng| {
+fn interleaved_streams_match_each_script_replayed_alone() {
+    // Few cases, real solves: each case runs one server per script plus
+    // the shared one.
+    propcheck_cases("interleaved vs. solo response streams", 6, |rng| {
         let scripts: Vec<Script> =
             (0..2 + rng.below(3)).map(|i| random_script(rng, i as usize)).collect();
-        let threaded = run_scripts(Frontend::Threads, &scripts);
-        let evloop = run_scripts(Frontend::Evloop, &scripts);
-        assert_eq!(threaded, evloop, "front ends diverged on scripts: {scripts:?}");
+        let interleaved = run_scripts(&scripts);
+        assert_eq!(interleaved, run_alone(&scripts), "interleaving changed a stream: {scripts:?}");
     });
 }
 
 #[test]
 fn deadline_and_disconnect_heavy_workload_matches() {
-    // A fixed adversarial script mix run once per front end: every
-    // connection ends in a mid-request disconnect, half the requests
-    // carry an already-expired deadline.
+    // A fixed adversarial script mix: every connection ends in a
+    // mid-request disconnect, half the requests carry an already-expired
+    // deadline.
     let scripts: Vec<Script> = (0..3)
         .map(|c| Script {
             lines: (0..3)
@@ -178,10 +177,9 @@ fn deadline_and_disconnect_heavy_workload_matches() {
             partial_tail: Some(r#"{"id":"torn","op":"pi"#.to_owned()),
         })
         .collect();
-    let threaded = run_scripts(Frontend::Threads, &scripts);
-    let evloop = run_scripts(Frontend::Evloop, &scripts);
-    assert_eq!(threaded, evloop);
-    for (c, responses) in threaded.iter().enumerate() {
+    let interleaved = run_scripts(&scripts);
+    assert_eq!(interleaved, run_alone(&scripts));
+    for (c, responses) in interleaved.iter().enumerate() {
         // Sorted ids are exactly the request ids: every request answered,
         // nothing invented, and the torn tail got no response.
         let ids: Vec<String> = responses
@@ -196,43 +194,32 @@ fn deadline_and_disconnect_heavy_workload_matches() {
     }
 }
 
-/// Idle-timeout behavior is front-end independent: an idle connection is
-/// closed, an active one survives.
+/// An idle connection is closed, an active one survives.
 #[test]
-fn idle_connections_are_reaped_on_both_front_ends() {
-    for frontend in [Frontend::Threads, Frontend::Evloop] {
-        let server = Server::builder()
-            .addr("127.0.0.1:0")
-            .workers(1)
-            .frontend(frontend)
-            .idle_timeout(Duration::from_millis(300))
-            .bind()
-            .expect("bind");
-        let addr = server.local_addr();
-        let handle = server.handle();
-        let join = std::thread::spawn(move || server.run().expect("serve loop"));
+fn idle_connections_are_reaped() {
+    let (addr, handle, join) =
+        start(Server::builder().workers(1).idle_timeout(Duration::from_millis(300)));
 
-        let idle = TcpStream::connect(addr).expect("connect idle");
-        let mut reader = BufReader::new(idle.try_clone().expect("clone"));
-        // The server must close the idle connection: read_line returns 0.
-        idle.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).expect("idle close yields clean EOF");
-        assert_eq!(n, 0, "idle connection reaped ({frontend}): {line:?}");
+    let idle = TcpStream::connect(addr).expect("connect idle");
+    let mut reader = BufReader::new(idle.try_clone().expect("clone"));
+    // The server must close the idle connection: read_line returns 0.
+    idle.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let mut line = String::new();
+    let n = reader.read_line(&mut line).expect("idle close yields clean EOF");
+    assert_eq!(n, 0, "idle connection reaped: {line:?}");
 
-        // A connection that stays active outlives several idle windows.
-        let mut active = TcpStream::connect(addr).expect("connect active");
-        let mut active_reader = BufReader::new(active.try_clone().expect("clone"));
-        for i in 0..4 {
-            std::thread::sleep(Duration::from_millis(150));
-            active
-                .write_all(format!("{{\"id\":\"keep{i}\",\"op\":\"ping\"}}\n").as_bytes())
-                .expect("send ping");
-            let mut pong = String::new();
-            active_reader.read_line(&mut pong).expect("read pong");
-            assert!(pong.contains("pong"), "active connection stays up ({frontend}): {pong:?}");
-        }
-        handle.shutdown();
-        join.join().expect("server thread");
+    // A connection that stays active outlives several idle windows.
+    let mut active = TcpStream::connect(addr).expect("connect active");
+    let mut active_reader = BufReader::new(active.try_clone().expect("clone"));
+    for i in 0..4 {
+        std::thread::sleep(Duration::from_millis(150));
+        active
+            .write_all(format!("{{\"id\":\"keep{i}\",\"op\":\"ping\"}}\n").as_bytes())
+            .expect("send ping");
+        let mut pong = String::new();
+        active_reader.read_line(&mut pong).expect("read pong");
+        assert!(pong.contains("pong"), "active connection stays up: {pong:?}");
     }
+    handle.shutdown();
+    join.join().expect("server thread");
 }

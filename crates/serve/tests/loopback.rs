@@ -1,99 +1,25 @@
 //! Loopback integration tests: a real in-process [`Server`] on `127.0.0.1:0`
 //! with real TCP clients — concurrency, exactly-once responses, cache
 //! counters, backpressure and drain-then-exit, all on the `specs/smoke.json`
-//! platform. Every test runs once per front end (threaded and, on unix,
-//! the event loop): the wire behavior is identical by contract.
+//! platform.
+#![cfg(unix)]
 
+mod common;
+
+use common::{roundtrip, start, PLATFORM};
 use mosc_analyze::json::Value;
-use mosc_serve::{Frontend, ServeBuilder, Server};
+use mosc_serve::Server;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
-
-/// The `specs/smoke.json` platform, inlined.
-const PLATFORM: &str = r#"{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":55.0}"#;
-
-/// Expands one `fn body(Frontend)` into a `#[test]` per front end.
-macro_rules! per_frontend {
-    ($($name:ident),+ $(,)?) => {$(
-        mod $name {
-            #[test]
-            fn threads() {
-                super::$name(mosc_serve::Frontend::Threads);
-            }
-            #[cfg(unix)]
-            #[test]
-            fn evloop() {
-                super::$name(mosc_serve::Frontend::Evloop);
-            }
-        }
-    )+};
-}
-
-per_frontend!(
-    concurrent_clients_each_get_exactly_one_response,
-    repeated_identical_requests_are_answered_from_the_cache,
-    want_schedule_round_trips_through_the_text_format,
-    a_full_queue_answers_overloaded_immediately,
-    malformed_and_unsolvable_requests_get_typed_errors,
-    a_deadline_expiring_mid_solve_is_enforced_before_the_response,
-    solve_batch_interns_the_platform_and_answers_per_variant,
-    a_batch_with_a_broken_platform_gets_one_usage_error,
-    shutdown_op_drains_and_stops_the_server,
-    hello_negotiates_the_protocol_version,
-    pipelined_requests_are_answered_in_order,
-    a_half_closed_connection_still_receives_its_responses,
-);
-
-fn start(
-    builder: ServeBuilder,
-) -> (SocketAddr, mosc_serve::ServeHandle, std::thread::JoinHandle<()>) {
-    let server = builder.bind().expect("bind 127.0.0.1:0");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("serve loop"));
-    (addr, handle, join)
-}
-
-fn quick_builder(frontend: Frontend) -> ServeBuilder {
-    Server::builder().addr("127.0.0.1:0").frontend(frontend)
-}
-
-/// Sends `line` and reads one response line on a fresh connection.
-fn roundtrip(addr: SocketAddr, line: &str) -> Value {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(line.as_bytes()).expect("send");
-    stream.write_all(b"\n").expect("send newline");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut response = String::new();
-    reader.read_line(&mut response).expect("read response");
-    Value::parse(&response).expect("response parses as JSON")
-}
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 fn solve_line(id: &str, solver: &str) -> String {
     format!(r#"{{"id":"{id}","solver":"{solver}","platform":{PLATFORM}}}"#)
 }
 
-/// The frozen positional-options constructor keeps working behind the
-/// builder: out-of-repo callers that have not migrated yet still get a
-/// serving daemon with identical defaults.
 #[test]
-fn deprecated_positional_bind_still_serves() {
-    #[allow(deprecated)]
-    let server =
-        Server::bind(mosc_serve::ServeOptions { addr: "127.0.0.1:0".into(), ..Default::default() })
-            .expect("bind 127.0.0.1:0");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("serve loop"));
-    let doc = roundtrip(addr, r#"{"id":"shim","op":"ping"}"#);
-    assert_eq!(doc.get("status").and_then(Value::as_str), Some("ok"), "{doc:?}");
-    assert_eq!(doc.get("pong").and_then(Value::as_bool), Some(true), "{doc:?}");
-    handle.shutdown();
-    join.join().expect("server thread");
-}
-
-fn concurrent_clients_each_get_exactly_one_response(frontend: Frontend) {
-    let (addr, handle, join) = start(quick_builder(frontend));
+fn concurrent_clients_each_get_exactly_one_response() {
+    let (addr, handle, join) = start(Server::builder());
     // Warm the cache sequentially so the concurrent round is deterministic
     // (identical misses racing in parallel would each count a miss).
     roundtrip(addr, &solve_line("warm-ao", "ao"));
@@ -124,8 +50,9 @@ fn concurrent_clients_each_get_exactly_one_response(frontend: Frontend) {
     join.join().expect("server thread");
 }
 
-fn repeated_identical_requests_are_answered_from_the_cache(frontend: Frontend) {
-    let (addr, handle, join) = start(quick_builder(frontend));
+#[test]
+fn repeated_identical_requests_are_answered_from_the_cache() {
+    let (addr, handle, join) = start(Server::builder());
     let first = roundtrip(addr, &solve_line("r0", "ao"));
     assert_eq!(first.get("cached").and_then(Value::as_bool), Some(false), "{first:?}");
     let throughput = first.get("throughput").and_then(Value::as_f64).unwrap();
@@ -147,8 +74,9 @@ fn repeated_identical_requests_are_answered_from_the_cache(frontend: Frontend) {
     join.join().expect("server thread");
 }
 
-fn want_schedule_round_trips_through_the_text_format(frontend: Frontend) {
-    let (addr, handle, join) = start(quick_builder(frontend));
+#[test]
+fn want_schedule_round_trips_through_the_text_format() {
+    let (addr, handle, join) = start(Server::builder());
     let line = format!(r#"{{"id":"ws","solver":"ao","platform":{PLATFORM},"want_schedule":true}}"#);
     let doc = roundtrip(addr, &line);
     let schedule_text = doc.get("schedule").and_then(Value::as_str).expect("schedule text");
@@ -158,11 +86,12 @@ fn want_schedule_round_trips_through_the_text_format(frontend: Frontend) {
     join.join().expect("server thread");
 }
 
-fn a_full_queue_answers_overloaded_immediately(frontend: Frontend) {
+#[test]
+fn a_full_queue_answers_overloaded_immediately() {
     // One worker, one queue slot. Park the worker on a deliberately slow
     // request (9-core 4-level EXS), fill the slot, then watch the next
     // request bounce.
-    let (addr, handle, join) = start(quick_builder(frontend).workers(1).queue_capacity(1));
+    let (addr, handle, join) = start(Server::builder().workers(1).queue_capacity(1));
     let slow = r#"{"rows":3,"cols":3,"levels":[0.6,0.8,1.0,1.3],"t_max_c":65.0}"#;
     let parked = {
         let line = format!(
@@ -199,8 +128,9 @@ fn a_full_queue_answers_overloaded_immediately(frontend: Frontend) {
     join.join().expect("server thread");
 }
 
-fn malformed_and_unsolvable_requests_get_typed_errors(frontend: Frontend) {
-    let (addr, handle, join) = start(quick_builder(frontend));
+#[test]
+fn malformed_and_unsolvable_requests_get_typed_errors() {
+    let (addr, handle, join) = start(Server::builder());
     let doc = roundtrip(addr, "this is not json");
     assert_eq!(doc.get("status").and_then(Value::as_str), Some("error"), "{doc:?}");
     assert_eq!(doc.get("kind").and_then(Value::as_str), Some("parse"), "{doc:?}");
@@ -235,8 +165,9 @@ fn malformed_and_unsolvable_requests_get_typed_errors(frontend: Frontend) {
     join.join().expect("server thread");
 }
 
-fn a_deadline_expiring_mid_solve_is_enforced_before_the_response(frontend: Frontend) {
-    let (addr, handle, join) = start(quick_builder(frontend));
+#[test]
+fn a_deadline_expiring_mid_solve_is_enforced_before_the_response() {
+    let (addr, handle, join) = start(Server::builder());
     // The governor ignores deadlines by contract, so a fine-grained control
     // period makes the solve reliably outlive a short deadline; the server
     // must notice at completion and answer `deadline` instead of returning
@@ -268,16 +199,13 @@ fn a_deadline_expiring_mid_solve_is_enforced_before_the_response(frontend: Front
     join.join().expect("server thread");
 }
 
-fn solve_batch_interns_the_platform_and_answers_per_variant(frontend: Frontend) {
-    let (addr, handle, join) = start(quick_builder(frontend));
-    // A platform unique to this test *and* front end: the interning
-    // registry is process-global, so sharing a platform across tests would
-    // make the cold/warm assertions racy.
-    let t_max = match frontend {
-        Frontend::Threads => 56.0,
-        Frontend::Evloop => 56.5,
-    };
-    let platform = format!(r#"{{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":{t_max}}}"#);
+#[test]
+fn solve_batch_interns_the_platform_and_answers_per_variant() {
+    let (addr, handle, join) = start(Server::builder());
+    // A platform unique to this test: the interning registry is
+    // process-global, so sharing a platform across tests would make the
+    // cold/warm assertions racy.
+    let platform = r#"{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":56.0}"#;
     let batch = |id: &str| {
         format!(
             concat!(
@@ -329,8 +257,9 @@ fn solve_batch_interns_the_platform_and_answers_per_variant(frontend: Frontend) 
     join.join().expect("server thread");
 }
 
-fn a_batch_with_a_broken_platform_gets_one_usage_error(frontend: Frontend) {
-    let (addr, handle, join) = start(quick_builder(frontend));
+#[test]
+fn a_batch_with_a_broken_platform_gets_one_usage_error() {
+    let (addr, handle, join) = start(Server::builder());
     let line = concat!(
         r#"{"id":"bad","op":"solve_batch","platform":{"rows":0,"cols":0,"levels":[],"t_max_c":55.0},"#,
         r#""variants":[{"solver":"ao"},{"solver":"lns"}]}"#
@@ -343,8 +272,9 @@ fn a_batch_with_a_broken_platform_gets_one_usage_error(frontend: Frontend) {
     join.join().expect("server thread");
 }
 
-fn shutdown_op_drains_and_stops_the_server(frontend: Frontend) {
-    let (addr, handle, join) = start(quick_builder(frontend));
+#[test]
+fn shutdown_op_drains_and_stops_the_server() {
+    let (addr, handle, join) = start(Server::builder());
     let doc = roundtrip(addr, r#"{"id":"p","op":"ping"}"#);
     assert_eq!(doc.get("pong").and_then(Value::as_bool), Some(true), "{doc:?}");
 
@@ -356,8 +286,9 @@ fn shutdown_op_drains_and_stops_the_server(frontend: Frontend) {
     assert_eq!(stats.responses, 2, "{stats:?}");
 }
 
-fn hello_negotiates_the_protocol_version(frontend: Frontend) {
-    let (addr, handle, join) = start(quick_builder(frontend));
+#[test]
+fn hello_negotiates_the_protocol_version() {
+    let (addr, handle, join) = start(Server::builder());
     // A plain hello negotiates the newest version the server speaks.
     let doc = roundtrip(addr, r#"{"id":"h","op":"hello"}"#);
     assert_eq!(doc.get("status").and_then(Value::as_str), Some("ok"), "{doc:?}");
@@ -386,10 +317,11 @@ fn hello_negotiates_the_protocol_version(frontend: Frontend) {
     join.join().expect("server thread");
 }
 
-fn pipelined_requests_are_answered_in_order(frontend: Frontend) {
+#[test]
+fn pipelined_requests_are_answered_in_order() {
     // One worker serializes execution, so responses to a burst written in
     // one packet must come back in request order, one line each.
-    let (addr, handle, join) = start(quick_builder(frontend).workers(1));
+    let (addr, handle, join) = start(Server::builder().workers(1));
     let mut stream = TcpStream::connect(addr).expect("connect");
     let burst: String =
         (0..10).map(|i| format!(r#"{{"id":"pl{i}","op":"ping"}}"#) + "\n").collect();
@@ -405,10 +337,11 @@ fn pipelined_requests_are_answered_in_order(frontend: Frontend) {
     join.join().expect("server thread");
 }
 
-fn a_half_closed_connection_still_receives_its_responses(frontend: Frontend) {
+#[test]
+fn a_half_closed_connection_still_receives_its_responses() {
     // Write requests, shut down the send half, then read: the responses
     // must still arrive (EOF does not cancel in-flight work).
-    let (addr, handle, join) = start(quick_builder(frontend));
+    let (addr, handle, join) = start(Server::builder());
     let mut stream = TcpStream::connect(addr).expect("connect");
     let lines = format!("{}\n{}\n", solve_line("hc0", "ao"), r#"{"id":"hc1","op":"ping"}"#);
     stream.write_all(lines.as_bytes()).expect("send");
@@ -425,6 +358,59 @@ fn a_half_closed_connection_still_receives_its_responses(frontend: Frontend) {
     }
     got.sort();
     assert_eq!(got, ["hc0", "hc1"], "both responses delivered after half-close");
+    handle.shutdown();
+    join.join().expect("server thread");
+}
+
+#[test]
+fn the_overhead_saturated_ao_platform_is_answered_and_shutdown_stays_prompt() {
+    // AO's compensation saturates a core already at m = 1 here; the m-sweep
+    // used to panic on it, which left the line unanswered and the drain
+    // waiting on the client forever.
+    let (addr, _handle, join) = start(Server::builder());
+    let platform = r#"{"rows":2,"cols":2,"levels":[0.6,0.8,1.0,1.3],"t_max_c":66.1288520067282}"#;
+    let mut held = TcpStream::connect(addr).expect("connect");
+    writeln!(held, r#"{{"id":"sat","solver":"ao","platform":{platform}}}"#).expect("send");
+    let mut line = String::new();
+    BufReader::new(&held).read_line(&mut line).expect("read response");
+    let doc = Value::parse(&line).expect("response parses");
+    assert_eq!(doc.get("status").and_then(Value::as_str), Some("ok"), "{doc:?}");
+    assert_eq!(doc.get("feasible").and_then(Value::as_bool), Some(true), "{doc:?}");
+    // `held` stays open across the shutdown.
+    let asked = Instant::now();
+    roundtrip(addr, r#"{"id":"bye","op":"shutdown"}"#);
+    join.join().expect("server thread");
+    assert!(asked.elapsed() < Duration::from_secs(1), "drain took {:?}", asked.elapsed());
+    drop(held);
+}
+
+#[test]
+fn an_unterminated_oversized_line_gets_one_usage_error_and_a_close() {
+    let (addr, handle, join) = start(Server::builder());
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut flood = stream.try_clone().expect("clone");
+    // 2 MiB without a newline, from its own thread: the server stops
+    // reading once the line passes its cap, so the rest never drains.
+    let flooder = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 * 1024];
+        (0..32).all(|_| flood.write_all(&chunk).is_ok())
+    });
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read the error line");
+    let doc = Value::parse(&line).expect("response parses");
+    assert_eq!(doc.get("kind").and_then(Value::as_str), Some("usage"), "{doc:?}");
+    // Then the server closes: a clean EOF, or a reset because the rest of
+    // the flood was left unread.
+    let mut rest = String::new();
+    if let Ok(n) = reader.read_line(&mut rest) {
+        assert_eq!(n, 0, "nothing after the error line: {rest:?}");
+    }
+    flooder.join().expect("flood thread");
+    // Other connections are unaffected.
+    let pong = roundtrip(addr, r#"{"id":"p","op":"ping"}"#);
+    assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true), "{pong:?}");
+    assert_eq!(handle.stats().malformed, 1);
     handle.shutdown();
     join.join().expect("server thread");
 }

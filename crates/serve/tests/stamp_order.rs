@@ -1,39 +1,31 @@
 //! Regression test for stamp-then-respond ordering: a client that reads
 //! its response and *immediately* scrapes the access log / stats must see
-//! its own request already recorded. The reader-thread cache-hit fast path
+//! its own request already recorded. The I/O thread's cache-hit fast path
 //! used to leave this to per-call-site convention; the `Stamped` receipt
 //! in `server.rs` now makes the order a type invariant, and this test pins
-//! the observable consequence on both front ends — backed by the analyzer's
-//! M09x trace lints over the resulting log.
+//! the observable consequence — backed by the analyzer's M09x trace lints
+//! over the resulting log.
+#![cfg(unix)]
 
+mod common;
+
+use common::{start, PLATFORM};
 use mosc_analyze::json::Value;
-use mosc_serve::{Frontend, Server};
+use mosc_serve::Server;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
-const PLATFORM: &str = r#"{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":55.0}"#;
+#[test]
+fn cache_hits_are_stamped_before_the_response() {
+    let log_path =
+        std::env::temp_dir().join(format!("mosc-serve-stamp-{}.jsonl", std::process::id()));
+    let (addr, handle, join) =
+        start(Server::builder().workers(1).access_log(log_path.to_string_lossy().into_owned()));
 
-fn check(frontend: Frontend, t_max: f64) {
-    let log_path = std::env::temp_dir()
-        .join(format!("mosc-serve-stamp-{frontend}-{}.jsonl", std::process::id()));
-    let server = Server::builder()
-        .addr("127.0.0.1:0")
-        .workers(1)
-        .frontend(frontend)
-        .access_log(log_path.to_string_lossy().into_owned())
-        .bind()
-        .expect("bind 127.0.0.1:0");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("serve loop"));
-
-    // A platform unique to this front end keeps the process-global
-    // interning registry from making hit/miss assertions racy.
-    let platform = PLATFORM.replace("55.0", &t_max.to_string());
     let mut stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut roundtrip = |id: &str| -> Value {
-        let line = format!(r#"{{"id":"{id}","solver":"ao","platform":{platform}}}"#);
+        let line = format!(r#"{{"id":"{id}","solver":"ao","platform":{PLATFORM}}}"#);
         stream.write_all(line.as_bytes()).expect("send");
         stream.write_all(b"\n").expect("send newline");
         let mut response = String::new();
@@ -41,8 +33,8 @@ fn check(frontend: Frontend, t_max: f64) {
         Value::parse(&response).expect("response parses")
     };
 
-    // Miss, then the identical request: the hit is answered on the read
-    // path without queueing.
+    // Miss, then the identical request: the hit is answered on the I/O
+    // thread without queueing.
     let miss = roundtrip("miss");
     assert_eq!(miss.get("cached").and_then(Value::as_bool), Some(false), "{miss:?}");
     let hit = roundtrip("hit");
@@ -73,15 +65,4 @@ fn check(frontend: Frontend, t_max: f64) {
     let report = mosc_analyze::analyze_telemetry(&log).expect("log loads as a stream");
     assert!(report.is_clean(), "lints flagged the stamp-order log:\n{report}");
     let _ = std::fs::remove_file(&log_path);
-}
-
-#[test]
-fn cache_hits_are_stamped_before_the_response_threads() {
-    check(Frontend::Threads, 57.0);
-}
-
-#[cfg(unix)]
-#[test]
-fn cache_hits_are_stamped_before_the_response_evloop() {
-    check(Frontend::Evloop, 57.5);
 }

@@ -241,8 +241,7 @@ const USAGE: &str = "usage:
   mosc-cli profile SPEC.json
   mosc-cli serve   [--addr HOST:PORT] [--workers N] [--queue N] [--cache N] [--deadline-ms MS]
                    [--access-log FILE] [--slow-ms MS] [--timeline FILE] [--timeline-window-ms MS]
-                   [--frontend threads|evloop] [--idle-timeout-ms MS]
-                   [--flight-dump FILE] [--flight-capacity N]
+                   [--idle-timeout-ms MS] [--flight-dump FILE] [--flight-capacity N]
   mosc-cli client  [--addr HOST:PORT] [--batch] [--trace]  (stdin request lines -> stdout
                    response lines; --batch folds solve lines sharing one platform into a
                    single solve_batch; --trace stamps fresh trace ids, reported on stderr)
@@ -658,10 +657,6 @@ fn serve(args: &Args) -> Result<ExitCode, CliError> {
         .workers(args.parse_or("--workers", 0usize)?)
         .queue_capacity(args.parse_or("--queue", 64usize)?)
         .cache_capacity(args.parse_or("--cache", 128usize)?)
-        .frontend(match args.flag("--frontend") {
-            None => mosc::serve::Frontend::default(),
-            Some(s) => s.parse().map_err(CliError::Usage)?,
-        })
         .slow_threshold({
             let ms: f64 = args.parse_or("--slow-ms", 100.0)?;
             if !ms.is_finite() || ms < 0.0 {
