@@ -91,6 +91,34 @@ grep -v '^mosc-serve' "$serve_log" > target/bench/serve_smoke.jsonl
 ./target/release/mosc-cli analyze -D warnings target/bench/serve_smoke.jsonl \
     || { echo "serve smoke: telemetry failed the M06x lints" >&2; exit 1; }
 
+echo "==> mosc-serve smoke without --obs (no quantile from an empty histogram)"
+plain_log=target/bench/serve_plain.log
+./target/release/mosc-cli serve --addr 127.0.0.1:0 >"$plain_log" 2>&1 &
+plain_pid=$!
+for _ in $(seq 1 50); do
+    grep -q 'mosc-serve listening on' "$plain_log" && break
+    sleep 0.1
+done
+plain_addr=$(sed -n 's/^mosc-serve listening on //p' "$plain_log")
+test -n "$plain_addr" || { echo "plain serve smoke: daemon never announced its address" >&2; exit 1; }
+plain_out=$(printf '%s\n' \
+    "{\"id\":\"p1\",\"solver\":\"ao\",\"platform\":$smoke_platform}" \
+    "{\"id\":\"p2\",\"solver\":\"ao\",\"platform\":$smoke_platform}" \
+    | ./target/release/mosc-cli client --addr "$plain_addr")
+test "$(echo "$plain_out" | grep -c '"status":"ok"')" -eq 2 \
+    || { echo "plain serve smoke: solves not answered ok" >&2; echo "$plain_out" >&2; exit 1; }
+./target/release/mosc-cli metrics --addr "$plain_addr" > target/bench/serve_plain_metrics.txt
+grep -q '^mosc_serve_requests_total 2$' target/bench/serve_plain_metrics.txt \
+    || { echo "plain serve smoke: metrics exposition missing the request count" >&2; exit 1; }
+# Without the recorder the latency histograms are empty: a p99 gauge, if
+# any, must not read 0 (the exposition writes zero as `0.0`).
+awk '$1 == "mosc_serve_latency_p99_seconds" && $2 + 0 == 0 { bad = 1 } END { exit bad }' \
+    target/bench/serve_plain_metrics.txt \
+    || { echo "plain serve smoke: empty latency histogram reported as p99 = 0" >&2; exit 1; }
+printf '%s\n' '{"id":"bye","op":"shutdown"}' \
+    | ./target/release/mosc-cli client --addr "$plain_addr" >/dev/null
+wait "$plain_pid" || { echo "plain serve smoke: daemon exited non-zero" >&2; cat "$plain_log" >&2; exit 1; }
+
 echo "==> mosc-serve observability smoke (access log, metrics exposition, M07x lints)"
 access_log=target/bench/serve_access.jsonl
 obs_log=target/bench/serve_obs_smoke.log

@@ -13,8 +13,9 @@
 //!
 //! The run is split into a warmup prefix (sent, recorded into the
 //! timeline, excluded from the summary) and a measurement window. The
-//! summary reports offered vs achieved rate and exact sorted-tail
-//! latency quantiles; a windowed `mosc_obs::Timeline` records the whole
+//! summary reports offered vs achieved rate (completions over the time to
+//! the last completion, `mosc_bench::loadgen::achieved_rate`) and exact
+//! sorted-tail latency quantiles; a windowed `mosc_obs::Timeline` records the whole
 //! run as `{"type":"timeline",...}` JSONL. With `--sweep r1,r2,...` the
 //! generator runs once per rate, emits `{"type":"sweep",...}` points and
 //! locates the saturation knee (highest rate with achieved ≥ 90% of
@@ -50,7 +51,7 @@
 //! registry exists for.
 
 use mosc_analyze::json::Value;
-use mosc_bench::loadgen::{arrival_schedule, saturation_knee, ArrivalProcess};
+use mosc_bench::loadgen::{achieved_rate, arrival_schedule, saturation_knee, ArrivalProcess};
 use mosc_bench::record::{BenchLog, RunMeta};
 use mosc_bench::{csv_dir_from_args, Table};
 use mosc_core::{SolveOptions, SolverKind};
@@ -126,6 +127,8 @@ fn batch_request_line(id: &str, k: usize, trace: bool) -> String {
 struct Sample {
     /// Intended send time from the schedule.
     intended_s: f64,
+    /// Completion time (response read).
+    done_s: f64,
     /// Completion latency measured from the intended send time.
     latency_s: f64,
     /// Served from the solution cache.
@@ -330,7 +333,7 @@ fn run_connection(
                 .unwrap_or(false);
             timeline.record_at(now, latency_s, cached);
             timeline.depth_at(now, depth);
-            samples.push(Sample { intended_s, latency_s, cached });
+            samples.push(Sample { intended_s, done_s: now, latency_s, cached });
         }
         writer.join().expect("writer thread");
         let dropped = schedule.len() - samples.len();
@@ -399,10 +402,10 @@ fn run_open_loop(
     let mut lat_ms: Vec<f64> = measured.iter().map(|s| s.latency_s * 1e3).collect();
     lat_ms.sort_by(f64::total_cmp);
     let hits = measured.iter().filter(|s| s.cached).count();
-    let span = (duration_s - warmup_s).max(1e-9);
+    let done: Vec<f64> = measured.iter().map(|s| s.done_s).collect();
     RunResult {
         offered: rate,
-        achieved: measured.len() as f64 / span,
+        achieved: achieved_rate(&done, warmup_s, duration_s),
         arrivals,
         completed: samples.len(),
         measured: measured.len(),

@@ -91,6 +91,19 @@ pub fn arrival_schedule(
     }
 }
 
+/// The achieved rate of a measurement window that starts at `window_start_s`
+/// and whose schedule ends at `schedule_end_s`: completions divided by the
+/// time until the last of them, and never by less than the scheduled span.
+///
+/// Dividing by the scheduled span alone would report a run in which every
+/// request is eventually answered as achieved ≈ offered, however late the
+/// answers arrive: saturation would read as keeping up.
+#[must_use]
+pub fn achieved_rate(completions_s: &[f64], window_start_s: f64, schedule_end_s: f64) -> f64 {
+    let last = completions_s.iter().copied().fold(schedule_end_s, f64::max);
+    completions_s.len() as f64 / (last - window_start_s).max(1e-9)
+}
+
 /// Locates the saturation knee of a rate sweep: the highest offered rate
 /// whose achieved rate kept up within `tolerance` (achieved ≥ tolerance ×
 /// offered). Returns `None` when no point kept up — the sweep started past
@@ -149,6 +162,42 @@ mod tests {
         assert_eq!(saturation_knee(&sweep, 0.9), Some(400.0));
         assert_eq!(saturation_knee(&[(100.0, 20.0)], 0.9), None);
         assert_eq!(saturation_knee(&[], 0.9), None);
+    }
+
+    /// Completion times of a FIFO server answering `served_hz` requests a
+    /// second, fed the uniform schedule at `offered_hz` for `duration_s`.
+    fn fifo_completions(offered_hz: f64, served_hz: f64, duration_s: f64) -> Vec<f64> {
+        let mut free_at = 0.0_f64;
+        arrival_schedule(ArrivalProcess::Uniform, offered_hz, duration_s, 0)
+            .into_iter()
+            .map(|t| {
+                free_at = free_at.max(t) + 1.0 / served_hz;
+                free_at
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_saturated_run_does_not_count_as_keeping_up() {
+        // 40k/s offered, 15k/s served: every request is answered, late.
+        let late = fifo_completions(40_000.0, 15_000.0, 1.0);
+        let achieved = achieved_rate(&late, 0.0, 1.0);
+        assert!((achieved - 15_000.0).abs() < 100.0, "achieved {achieved}");
+        // The old figure, answers over the scheduled span, read ≈ offered.
+        assert!((late.len() as f64 / 1.0 - 40_000.0).abs() < 2.0);
+        assert_eq!(saturation_knee(&[(40_000.0, achieved)], 0.9), None);
+
+        // Below capacity the server keeps up, so the knee is the 10k point.
+        let kept = fifo_completions(10_000.0, 15_000.0, 1.0);
+        let kept_rate = achieved_rate(&kept, 0.0, 1.0);
+        assert!((kept_rate - 10_000.0).abs() < 10.0, "achieved {kept_rate}");
+        let sweep = [(10_000.0, kept_rate), (40_000.0, achieved)];
+        assert_eq!(saturation_knee(&sweep, 0.9), Some(10_000.0));
+
+        // A warmup prefix is excluded from both the count and the span.
+        let window: Vec<f64> = kept.iter().copied().filter(|&t| t >= 0.5).collect();
+        let windowed = achieved_rate(&window, 0.5, 1.0);
+        assert!((windowed - 10_000.0).abs() < 50.0, "achieved {windowed}");
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!    convert one `t_unit` of high-voltage time to low on the core with the
 //!    best temperature-per-throughput tradeoff index
 //!    `TPT_j = ΔT_i / ((v_{j,H} − v_{j,L})·t_unit)`, where `i` is the
-//!    hottest core.
+//!    hottest core. A trial needs only core `i`'s row of its stable fixed
+//!    point, so a round is `N` cheap evaluations and runs on one thread.
 
 use crate::{continuous, AlgoError, Result, Solution, ACCEPT_EPS, FEASIBILITY_EPS};
 use mosc_sched::{Platform, Schedule};
@@ -50,10 +51,10 @@ pub struct AoOptions {
     pub m_patience: usize,
     /// `t_unit = compressed_period / t_unit_divisor` for the TPT pass.
     pub t_unit_divisor: usize,
-    /// Worker threads for the m sweep and the TPT trial loop (`0` = all
-    /// available). Any thread count produces bit-identical results: workers
-    /// only evaluate candidates, selection stays sequential in candidate
-    /// order.
+    /// Worker threads for the m sweep and PCO's phase search (`0` = all
+    /// available; the TPT pass is sequential). Any thread count produces
+    /// bit-identical results: workers only evaluate candidates, selection
+    /// stays sequential in candidate order.
     pub threads: usize,
 }
 
@@ -137,8 +138,7 @@ pub fn solve_with(platform: &Platform, opts: &AoOptions) -> Result<Solution> {
     let pairs_adj = adjusted_pairs(&pairs, platform, m_opt, opts);
     let t_c = opts.base_period / m_opt as f64;
     let t_unit = t_c / opts.t_unit_divisor as f64;
-    let (_, schedule) =
-        adjust_to_tmax_with_threads(platform, &pairs_adj, t_c, t_unit, opts.threads)?;
+    let (_, schedule) = adjust_to_tmax(platform, &pairs_adj, t_c, t_unit)?;
 
     let peak = platform.peak(&schedule)?.temp;
     let solution = Solution {
@@ -156,10 +156,6 @@ pub fn solve_with(platform: &Platform, opts: &AoOptions) -> Result<Solution> {
     Ok(solution)
 }
 
-/// Outcome of one TPT swap trial: `None` when the core has no high time
-/// left to trade, otherwise the temperature reduction and trial schedule.
-type TptTrial = Result<Option<(f64, Schedule)>>;
-
 /// Algorithm 2's TPT pass (lines 14–21): starting from `pairs` on period
 /// `t_c`, repeatedly convert `t_unit` of high time to low on the core with
 /// the best temperature-performance tradeoff index until the stable peak
@@ -167,6 +163,10 @@ type TptTrial = Result<Option<(f64, Schedule)>>;
 ///
 /// Exposed publicly because the Section-III motivation experiment exercises
 /// it at fixed periods (Table III's 20/10/5 ms rows) without the m sweep.
+///
+/// Each round ranks the `N` single-core swaps by one row of each trial's
+/// fixed point, sequentially in core order: a round is too cheap to split
+/// across threads.
 ///
 /// # Errors
 /// [`AlgoError::Infeasible`] when even all-low on every adjustable core
@@ -177,30 +177,11 @@ pub fn adjust_to_tmax(
     t_c: f64,
     t_unit: f64,
 ) -> Result<(Vec<CorePair>, Schedule)> {
-    adjust_to_tmax_with_threads(platform, pairs, t_c, t_unit, 0)
-}
-
-/// As [`adjust_to_tmax`], with an explicit worker-thread count for the
-/// per-core trial evaluations (`0` = all available, `1` = the paper's
-/// sequential loop). The trials are independent steady-state evaluations and
-/// the swap selection stays sequential in core order, so every thread count
-/// returns bit-identical results.
-///
-/// # Errors
-/// See [`adjust_to_tmax`].
-pub fn adjust_to_tmax_with_threads(
-    platform: &Platform,
-    pairs: &[CorePair],
-    t_c: f64,
-    t_unit: f64,
-    threads: usize,
-) -> Result<(Vec<CorePair>, Schedule)> {
     let _span = mosc_obs::span("ao.tpt_adjust");
     if !(t_c > 0.0 && t_unit > 0.0 && t_unit < t_c) {
         return Err(AlgoError::InvalidOptions { what: "need 0 < t_unit < t_c" });
     }
     let n = platform.n_cores();
-    let threads = thread_count(threads, n);
     let t_max = platform.t_max();
     let mut pairs_adj = pairs.to_vec();
     let mut schedule = schedule_from_pairs(&pairs_adj, t_c)?;
@@ -221,44 +202,15 @@ pub fn adjust_to_tmax_with_threads(
         }
         let hot_core = peak.core;
         let hot_temp = temp_of_core(platform, &schedule, hot_core)?;
-        // Evaluate each core's t_unit swap (possibly in parallel), then pick
-        // the one cooling `hot_core` the most per unit of throughput lost —
-        // sequentially in core order, so the choice matches a serial loop.
-        let mut trials: Vec<Option<TptTrial>> = (0..n).map(|_| None).collect();
-        if threads > 1 && n > 1 {
-            let collected: Vec<Vec<(usize, TptTrial)>> = std::thread::scope(|scope| {
-                let pairs_ref = &pairs_adj;
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        scope.spawn(move || {
-                            (t..n)
-                                .step_by(threads)
-                                .map(|j| {
-                                    (
-                                        j,
-                                        tpt_trial(
-                                            platform, pairs_ref, j, t_c, t_unit, hot_core, hot_temp,
-                                        ),
-                                    )
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("TPT trial thread panicked")).collect()
-            });
-            for (j, r) in collected.into_iter().flatten() {
-                trials[j] = Some(r);
-            }
-        } else {
-            for (j, slot) in trials.iter_mut().enumerate() {
-                *slot = Some(tpt_trial(platform, &pairs_adj, j, t_c, t_unit, hot_core, hot_temp));
-            }
-        }
+        // Pick the swap cooling `hot_core` the most per unit of throughput
+        // lost; the first core wins ties.
         let mut best: Option<(f64, usize, Schedule)> = None;
-        for (j, slot) in trials.into_iter().enumerate() {
-            let Some(result) = slot else { continue };
-            let Some((reduction, trial)) = result? else { continue };
+        for j in 0..n {
+            let Some((reduction, trial)) =
+                tpt_trial(platform, &pairs_adj, j, t_c, t_unit, hot_core, hot_temp)?
+            else {
+                continue;
+            };
             let p = &pairs_adj[j];
             let tpt = reduction / ((p.v_high - p.v_low) * t_unit);
             if reduction > 0.0 && best.as_ref().is_none_or(|(b, _, _)| tpt > *b) {
@@ -554,11 +506,15 @@ fn pairs_oscillating(p: &CorePair) -> bool {
 }
 
 /// Stable-status period-end temperature of one core under a step-up
-/// schedule (Theorem 1 makes this the core's binding value).
+/// schedule (Theorem 1 makes this the core's binding value): one row of the
+/// fixed point's basis change.
 fn temp_of_core(platform: &Platform, schedule: &Schedule, core: usize) -> Result<f64> {
-    let ss =
-        mosc_sched::eval::SteadyState::compute(platform.thermal(), platform.power(), schedule)?;
-    Ok(ss.t_start()[core])
+    Ok(mosc_sched::eval::core_start_temperature(
+        platform.thermal(),
+        platform.power(),
+        schedule,
+        core,
+    )?)
 }
 
 #[cfg(test)]
@@ -572,6 +528,7 @@ mod tests {
 
     #[test]
     fn ao_single_thread_matches_parallel() {
+        // Only the m sweep fans out; the TPT pass is sequential.
         let p = Platform::build(&PlatformSpec::paper(2, 3, 2, 55.0)).unwrap();
         let seq = solve_with(&p, &AoOptions { threads: 1, ..quick_opts() }).unwrap();
         let par = solve_with(&p, &AoOptions { threads: 8, ..quick_opts() }).unwrap();

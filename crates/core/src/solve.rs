@@ -122,8 +122,8 @@ impl std::str::FromStr for SolverKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveOptions {
     /// Worker threads for the parallel solvers (EXS partition search, the AO
-    /// m-sweep/TPT loop, the PCO phase search). `0` = all available. Any
-    /// value produces bit-identical results; LNS and the governor ignore it.
+    /// m-sweep, the PCO phase search). `0` = all available. Any value
+    /// produces bit-identical results; LNS and the governor ignore it.
     pub threads: usize,
     /// Hard cap on the oscillation factor (AO/PCO only).
     pub max_m: usize,

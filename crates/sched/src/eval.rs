@@ -17,9 +17,12 @@
 //! diagonalizes in `A`'s eigenbasis: [`SteadyState::compute`] routes through
 //! the [`crate::period_map`] kernel, which composes the period map
 //! elementwise in modal coordinates (no `expm`, no dense products, no LU)
-//! and exponentiates repeated blocks by binary squaring. The historical
-//! interval-by-interval dense path is retained as [`compute_dense`] for
-//! property tests and the bench comparison.
+//! and exponentiates repeated blocks by binary squaring. A step-up peak
+//! ([`peak_temperature`]) needs even less: by Theorem 1 it reads only the
+//! core rows of the start-of-period fixed point, so it builds no
+//! [`SteadyState`] at all. The historical interval-by-interval dense path is
+//! retained as [`compute_dense`] for property tests and the bench
+//! comparison.
 
 use crate::period_map::{self, PeriodMap};
 use crate::schedule::EPS;
@@ -29,8 +32,9 @@ use mosc_power::PowerLike;
 use mosc_thermal::{ThermalModel, Trace};
 use std::sync::Arc;
 
-/// Periodic steady-state computations ([`SteadyState::compute`]): one full
-/// propagator composition plus an `(I − K)` solve each.
+/// Periodic fixed points computed: one per [`SteadyState::compute`],
+/// Theorem-1 peak and [`core_start_temperature`] (each one period-map
+/// composition plus an elementwise fixed-point solve).
 static STEADY_STATE_CALLS: mosc_obs::Counter = mosc_obs::Counter::new("steady_state.calls");
 /// Peak-temperature evaluations ([`peak_temperature`]) — the unit of work
 /// every solver's inner loop is measured in.
@@ -167,10 +171,24 @@ impl SteadyState {
     /// # Errors
     /// Solver failures only (cannot occur for a constructed model).
     pub fn trace(&self, model: &ThermalModel, samples: usize) -> Result<Trace> {
-        let period = self.block_period();
-        let dt_target = period / samples.max(1) as f64;
         let mut trace = Trace::with_capacity(self.n_cores, samples + self.intervals.len() + 2);
         trace.push(0.0, self.t_start.clone());
+        self.walk_samples(model, samples, |time, y| {
+            trace.push(time, period_map::from_modal(model, y)?);
+            Ok(())
+        })?;
+        Ok(trace)
+    }
+
+    /// Visits the sample points of [`Self::trace`] after `t = 0`, in time
+    /// order, with the modal temperatures at each.
+    fn walk_samples(
+        &self,
+        model: &ThermalModel,
+        samples: usize,
+        mut visit: impl FnMut(f64, &Vector) -> Result<()>,
+    ) -> Result<()> {
+        let dt_target = self.block_period() / samples.max(1) as f64;
         for iv in &self.intervals {
             let n_steps = (iv.len / dt_target).ceil().max(1.0) as usize;
             let h = iv.len / n_steps as f64;
@@ -178,20 +196,34 @@ impl SteadyState {
             let mut y = iv.y_at_start.clone();
             for s in 1..=n_steps {
                 y = Vector::from_fn(y.len(), |k| d[k] * (y[k] - iv.y_inf[k]) + iv.y_inf[k]);
-                trace.push(iv.start + h * s as f64, period_map::from_modal(model, &y)?);
+                visit(iv.start + h * s as f64, &y)?;
             }
         }
-        Ok(trace)
+        Ok(())
     }
 
-    /// Peak core temperature over a sampled stable-status trace.
+    /// Peak core temperature over the sample points of [`Self::trace`],
+    /// equal to `trace(model, samples).peak()`: the first maximum wins, in
+    /// time order and then core order. Each sample back-transforms only the
+    /// core rows and no trace is built.
     ///
     /// # Errors
-    /// Propagates trace-construction failures.
+    /// Propagates solver failures.
     pub fn peak_sampled(&self, model: &ThermalModel, samples: usize) -> Result<PeakReport> {
-        let trace = self.trace(model, samples)?;
-        let p = trace.peak().expect("trace has at least the start sample");
-        Ok(PeakReport { temp: p.temp, core: p.core, time: p.time, exact: false })
+        let mut best: Option<PeakReport> = None;
+        let mut consider = |time: f64, cores: &[f64]| {
+            for (core, &temp) in cores.iter().enumerate() {
+                if best.is_none_or(|b| temp > b.temp) {
+                    best = Some(PeakReport { temp, core, time, exact: false });
+                }
+            }
+        };
+        consider(0.0, &self.t_start.as_slice()[..self.n_cores]);
+        self.walk_samples(model, samples, |time, y| {
+            consider(time, period_map::cores_from_modal(model, y)?.as_slice());
+            Ok(())
+        })?;
+        Ok(best.expect("the start sample is always visited"))
     }
 
     /// Temperature vector at an arbitrary time within the period (stable
@@ -205,6 +237,25 @@ impl SteadyState {
     /// # Errors
     /// Rejects times outside `[0, period]`; propagates solver failures.
     pub fn at_time(&self, model: &ThermalModel, t: f64) -> Result<Vector> {
+        match self.modal_at_time(model, t)? {
+            Some(y) => period_map::from_modal(model, &y),
+            None => Ok(self.last_end().clone()),
+        }
+    }
+
+    /// `at_time(model, t)[core]`, bit for bit, from one row of the basis
+    /// change (`O(n)` instead of `O(n²)`).
+    fn core_at_time(&self, model: &ThermalModel, t: f64, core: usize) -> Result<f64> {
+        match self.modal_at_time(model, t)? {
+            Some(y) => period_map::node_from_modal(model, &y, core),
+            None => Ok(self.last_end()[core]),
+        }
+    }
+
+    /// Modal temperatures at `t` (see [`Self::at_time`]), or `None` when `t`
+    /// lies past the end of the last interval, where the stored period-end
+    /// temperatures apply.
+    fn modal_at_time(&self, model: &ThermalModel, t: f64) -> Result<Option<Vector>> {
         let block = self.block_period();
         let period = block * self.repetitions as f64;
         if !(0.0..=period + EPS).contains(&t) {
@@ -216,13 +267,16 @@ impl SteadyState {
         for iv in &self.intervals {
             if t <= iv.start + iv.len + EPS {
                 let d = model.modal_decay((t - iv.start).max(0.0))?;
-                let y = Vector::from_fn(d.len(), |k| {
+                return Ok(Some(Vector::from_fn(d.len(), |k| {
                     d[k] * (iv.y_at_start[k] - iv.y_inf[k]) + iv.y_inf[k]
-                });
-                return period_map::from_modal(model, &y);
+                })));
             }
         }
-        Ok(self.at_ends.last().expect("non-empty schedule").clone())
+        Ok(None)
+    }
+
+    fn last_end(&self) -> &Vector {
+        self.at_ends.last().expect("non-empty schedule")
     }
 
     /// Sampled peak refined by golden-section search around the hottest
@@ -249,7 +303,7 @@ impl SteadyState {
         let lo = (coarse.time - window).max(0.0);
         let hi = (coarse.time + window).min(period);
         let core = coarse.core;
-        let f = |t: f64| -> Result<f64> { Ok(self.at_time(model, t)?[core]) };
+        let f = |t: f64| self.core_at_time(model, t, core);
 
         // Split the window at the state-interval boundaries inside it.
         let mut cuts = vec![lo];
@@ -326,9 +380,10 @@ pub struct PeakReport {
 /// Peak temperature of `schedule` in the thermal stable status.
 ///
 /// Step-up schedules take the exact Theorem-1 fast path (the peak is the
-/// period-end = period-start stable temperature). Arbitrary schedules fall
-/// back to dense sampling with `samples` points per period
-/// ([`DEFAULT_SAMPLES_PER_PERIOD`] when `None`).
+/// period-end = period-start stable temperature): one period map, its fixed
+/// point, and the core rows of one basis change — no per-interval data.
+/// Arbitrary schedules fall back to dense sampling with `samples` points per
+/// period ([`DEFAULT_SAMPLES_PER_PERIOD`] when `None`).
 ///
 /// # Errors
 /// Core-count mismatches or solver failures.
@@ -339,27 +394,59 @@ pub fn peak_temperature<P: PowerLike + ?Sized>(
     samples: Option<usize>,
 ) -> Result<PeakReport> {
     PEAK_EVAL_CALLS.incr();
-    let ss = SteadyState::compute(model, power, schedule)?;
     // Theorem 1 applies per repeating block: the stable trace is
     // block-periodic, so a step-up *block* peaks at the block boundary even
     // when the repeated full-period schedule is not globally step-up.
     if schedule.block_is_step_up() {
         PEAK_EVAL_EXACT.incr();
-        let t = ss.t_start();
+        let t = period_map::cores_from_modal(model, &steady_start_modal(model, power, schedule)?)?;
         let mut best = PeakReport { temp: f64::NEG_INFINITY, core: 0, time: 0.0, exact: true };
-        for c in 0..model.n_cores() {
-            if t[c] > best.temp {
-                best = PeakReport { temp: t[c], core: c, time: 0.0, exact: true };
+        for (c, &temp) in t.iter().enumerate() {
+            if temp > best.temp {
+                best = PeakReport { temp, core: c, time: 0.0, exact: true };
             }
         }
         Ok(best)
     } else {
         // Sample, then polish the winning sample with a golden-section local
         // search — one extra core's trajectory, so nearly free.
+        let ss = SteadyState::compute(model, power, schedule)?;
         let samples = samples.unwrap_or(DEFAULT_SAMPLES_PER_PERIOD);
         let tol = schedule.block_period() / samples as f64 * 1e-3;
         ss.peak_refined(model, samples, tol)
     }
+}
+
+/// Start-of-period stable temperature of one core,
+/// `SteadyState::compute(..).t_start()[core]` bit for bit, from one row of
+/// the basis change. For a step-up schedule this is the core's binding
+/// (Theorem-1) temperature, which is what AO's TPT pass ranks swaps by.
+///
+/// # Errors
+/// Core-count mismatches, a core index out of range, or solver failures.
+pub fn core_start_temperature<P: PowerLike + ?Sized>(
+    model: &ThermalModel,
+    power: &P,
+    schedule: &Schedule,
+    core: usize,
+) -> Result<f64> {
+    if core >= model.n_cores() {
+        return Err(SchedError::Invalid {
+            what: format!("core {core} out of range for {} cores", model.n_cores()),
+        });
+    }
+    period_map::node_from_modal(model, &steady_start_modal(model, power, schedule)?, core)
+}
+
+/// The modal start-of-period fixed point: one counted steady-state
+/// computation without [`SteadyState`]'s per-interval data.
+fn steady_start_modal<P: PowerLike + ?Sized>(
+    model: &ThermalModel,
+    power: &P,
+    schedule: &Schedule,
+) -> Result<Vector> {
+    STEADY_STATE_CALLS.incr();
+    PeriodMap::build(model, power, schedule)?.steady_start()
 }
 
 /// Interval-by-interval dense reference for [`SteadyState::compute`]: walks

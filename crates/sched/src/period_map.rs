@@ -15,15 +15,18 @@
 //! `m` times is exponentiated by binary squaring ([`ModalMap::repeated`],
 //! `O(n·log m)`), and the periodic fixed point is `ŷ_ss = r̂ / (1 − d)`
 //! elementwise. The only dense work left per evaluation is the handful of
-//! basis changes in and out of modal coordinates, counted on the
-//! `period_map.matmuls` counter; per-interval steady states are memoized by
+//! basis changes out of modal coordinates, counted on the
+//! `period_map.matmuls` counter (a Theorem-1 peak needs one, and only its
+//! core rows); per-interval steady states are memoized by
 //! voltage-vector key inside [`ThermalModel::modal_steady_state`]
 //! (`steady_state.cache_hits`).
 //!
 //! For a schedule with `d` distinct block intervals and repetition factor
 //! `m`, the old interval-by-interval path cost `O(m·d·n³)`; this kernel
-//! costs `O((d + log m)·n + d·n²)` — the reduction `mosc-cli profile`'s
-//! period-map section measures.
+//! costs `O((d + log m)·n + d·n²)` for a full steady state — the reduction
+//! `mosc-cli profile`'s period-map section measures — and
+//! `O((d + log m)·n + N·n)` for the Theorem-1 peak of `N` cores, which
+//! back-transforms only the core rows of the fixed point.
 
 use crate::{Result, SchedError, Schedule};
 use mosc_linalg::Vector;
@@ -31,8 +34,10 @@ use mosc_power::PowerLike;
 use mosc_thermal::ThermalModel;
 use std::sync::Arc;
 
-/// Dense `O(n²)` basis changes (modal transforms) performed by the kernel —
-/// the only super-linear work left; everything else is elementwise. Stays
+/// Basis changes back to node temperatures — the only non-elementwise work
+/// left. Counts one per back-transform, whatever its width: all `n` rows
+/// (`O(n²)`, traces and [`crate::SteadyState`]), the `N` core rows
+/// (`O(N·n)`, peaks), or one row (`O(n)`, golden-section refinement). Stays
 /// flat in the oscillation factor `m`, which is what the `ci.sh` profile
 /// smoke asserts.
 static PERIOD_MAP_MATMULS: mosc_obs::Counter = mosc_obs::Counter::new("period_map.matmuls");
@@ -44,6 +49,18 @@ static PERIOD_MAP_COMPOSES: mosc_obs::Counter = mosc_obs::Counter::new("period_m
 pub(crate) fn from_modal(model: &ThermalModel, y: &Vector) -> Result<Vector> {
     PERIOD_MAP_MATMULS.incr();
     Ok(model.from_modal(y)?)
+}
+
+/// Counted basis change back to the core temperatures only.
+pub(crate) fn cores_from_modal(model: &ThermalModel, y: &Vector) -> Result<Vector> {
+    PERIOD_MAP_MATMULS.incr();
+    Ok(model.cores_from_modal(y)?)
+}
+
+/// Counted basis change back to one node temperature.
+pub(crate) fn node_from_modal(model: &ThermalModel, y: &Vector, node: usize) -> Result<f64> {
+    PERIOD_MAP_MATMULS.incr();
+    Ok(model.node_from_modal(y, node)?)
 }
 
 /// An affine map `y ↦ decay ∘ y + offset` on modal coordinates — the

@@ -1,6 +1,8 @@
 //! Property-based tests for the schedule algebra.
 
-use mosc_sched::{text, CoreSchedule, Platform, PlatformSpec, Schedule, Segment};
+use mosc_sched::{
+    text, CoreSchedule, PeakReport, Platform, PlatformSpec, Schedule, Segment, SteadyState,
+};
 use mosc_testutil::{propcheck_cases, Rng64};
 
 const CASES: usize = 48;
@@ -209,5 +211,119 @@ fn steady_state_invariant_under_stepup_throughput() {
         let p1 = mosc_sched::eval::peak_temperature(p.thermal(), p.power(), &s, Some(300)).unwrap();
         let p2 = p.peak(&up).unwrap();
         assert!(p1.temp <= p2.temp + 1e-4 + 1e-3 * p2.temp.abs());
+    });
+}
+
+/// The peak evaluation as `SteadyState` alone computes it, from public API
+/// only: the core maximum of `t_start()` for a step-up block; otherwise the
+/// hottest sample of `trace().peak()`, refined by golden-section search on
+/// `at_time()[core]` exactly as `peak_temperature` documents it.
+fn reference_peak(p: &Platform, s: &Schedule, samples: Option<usize>) -> PeakReport {
+    const EPS: f64 = 1e-9; // the crate's time-comparison slack
+    let model = p.thermal();
+    let ss = SteadyState::compute(model, p.power(), s).unwrap();
+    if s.block_is_step_up() {
+        let t = ss.t_start();
+        let mut best = PeakReport { temp: f64::NEG_INFINITY, core: 0, time: 0.0, exact: true };
+        for c in 0..s.n_cores() {
+            if t[c] > best.temp {
+                best = PeakReport { temp: t[c], core: c, time: 0.0, exact: true };
+            }
+        }
+        return best;
+    }
+    let samples = samples.unwrap_or(mosc_sched::eval::DEFAULT_SAMPLES_PER_PERIOD);
+    let tol = s.block_period() / samples as f64 * 1e-3;
+    let coarse = ss.trace(model, samples).unwrap().peak().unwrap();
+    let ivs = s.block_intervals();
+    let period: f64 = ivs.iter().map(|(_, len)| len).sum();
+    let window = period / samples as f64;
+    let (lo, hi) = ((coarse.time - window).max(0.0), (coarse.time + window).min(period));
+    let core = coarse.core;
+    let f = |t: f64| ss.at_time(model, t).unwrap()[core];
+
+    let mut cuts = vec![lo];
+    let mut start = 0.0;
+    for (_, len) in &ivs {
+        for b in [start, start + len] {
+            if b > lo + EPS && b < hi - EPS {
+                cuts.push(b);
+            }
+        }
+        start += len;
+    }
+    cuts.push(hi);
+    cuts.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    cuts.dedup_by(|a, b| (*a - *b).abs() < EPS);
+
+    let mut best = PeakReport { temp: coarse.temp, core, time: coarse.time, exact: false };
+    for &c in &cuts {
+        let v = f(c);
+        if v > best.temp {
+            best = PeakReport { temp: v, core, time: c, exact: false };
+        }
+    }
+    const INV_PHI: f64 = 0.618_033_988_749_894_9;
+    for w in cuts.windows(2) {
+        let (mut lo, mut hi) = (w[0], w[1]);
+        let mut a = hi - INV_PHI * (hi - lo);
+        let mut b = lo + INV_PHI * (hi - lo);
+        let (mut fa, mut fb) = (f(a), f(b));
+        let mut guard = 0;
+        while hi - lo > tol && guard < 200 {
+            guard += 1;
+            if fa >= fb {
+                (hi, b, fb) = (b, a, fa);
+                a = hi - INV_PHI * (hi - lo);
+                fa = f(a);
+            } else {
+                (lo, a, fa) = (a, b, fb);
+                b = lo + INV_PHI * (hi - lo);
+                fb = f(b);
+            }
+        }
+        let t_best = 0.5 * (lo + hi);
+        let refined = f(t_best);
+        if refined > best.temp {
+            best = PeakReport { temp: refined, core, time: t_best, exact: false };
+        }
+    }
+    best
+}
+
+#[test]
+fn peak_temperature_is_bit_identical_to_the_steady_state_oracle() {
+    // The core-row peak paths must reproduce the full-vector evaluation
+    // exactly (`==`), on step-up, repeated and phase-shifted schedules.
+    propcheck_cases("peak_temperature_is_bit_identical_to_the_steady_state_oracle", 24, |rng| {
+        let (rows, cols) = [(1usize, 2usize), (1, 3), (2, 2)][rng.gen_range(0..3usize)];
+        let p = Platform::build(&PlatformSpec::paper(rows, cols, 3, 65.0)).unwrap();
+        let n = rows * cols;
+        let period = rng.gen_range(0.02..0.5);
+        let base = schedule(rng, n, period);
+        let m = [1usize, 2, 5, 16][rng.gen_range(0..4usize)];
+        let s = match rng.gen_range(0..4usize) {
+            0 => base.to_step_up().oscillated(m),
+            1 => base.repeated(m),
+            2 => base
+                .to_step_up()
+                .with_shifted_core(rng.gen_range(0..n), rng.gen_range(0.0..base.period())),
+            _ => base.oscillated(m),
+        };
+        let samples = [None, Some(40), Some(150)][rng.gen_range(0..3usize)];
+        let fast = mosc_sched::eval::peak_temperature(p.thermal(), p.power(), &s, samples).unwrap();
+        assert_eq!(fast, reference_peak(&p, &s, samples), "schedule {}", text::to_text(&s));
+        // The sampled peak is the trace's peak, tie rule included.
+        let ss = SteadyState::compute(p.thermal(), p.power(), &s).unwrap();
+        let sampled = ss.peak_sampled(p.thermal(), 60).unwrap();
+        let traced = ss.trace(p.thermal(), 60).unwrap().peak().unwrap();
+        assert_eq!(
+            (sampled.temp, sampled.core, sampled.time),
+            (traced.temp, traced.core, traced.time)
+        );
+        // And one core's start temperature is its `t_start()` entry.
+        let core = rng.gen_range(0..n);
+        let t = mosc_sched::eval::core_start_temperature(p.thermal(), p.power(), &s, core).unwrap();
+        assert_eq!(t, ss.t_start()[core]);
     });
 }

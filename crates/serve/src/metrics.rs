@@ -294,20 +294,24 @@ impl ServeMetrics {
         ] {
             let _ = writeln!(out, "# TYPE {name} counter\n{name} {v}");
         }
+        // An empty histogram has no quantiles: its gauges are omitted
+        // rather than reported as a false zero.
         let merged = self.solve_total();
-        let q = |p: f64| merged.quantile(p).unwrap_or(0.0);
+        let q = |p: f64| merged.quantile(p);
         for (name, v) in [
-            ("mosc_serve_queue_depth", queue_depth as f64),
-            ("mosc_serve_queue_peak", self.queue_peak.get() as f64),
-            ("mosc_serve_cache_len", cache_len as f64),
-            ("mosc_serve_uptime_seconds", uptime_s),
-            ("mosc_serve_req_per_s", self.rate.per_sec()),
+            ("mosc_serve_queue_depth", Some(queue_depth as f64)),
+            ("mosc_serve_queue_peak", Some(self.queue_peak.get() as f64)),
+            ("mosc_serve_cache_len", Some(cache_len as f64)),
+            ("mosc_serve_uptime_seconds", Some(uptime_s)),
+            ("mosc_serve_req_per_s", Some(self.rate.per_sec())),
             ("mosc_serve_latency_p50_seconds", q(0.5)),
             ("mosc_serve_latency_p90_seconds", q(0.9)),
             ("mosc_serve_latency_p99_seconds", q(0.99)),
             ("mosc_serve_latency_p999_seconds", q(0.999)),
         ] {
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {}", prom_f64(v));
+            if let Some(v) = v {
+                let _ = writeln!(out, "# TYPE {name} gauge\n{name} {}", prom_f64(v));
+            }
         }
         out.push_str("# TYPE mosc_serve_latency_seconds histogram\n");
         for kind in SolverKind::all() {

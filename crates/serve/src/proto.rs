@@ -742,9 +742,10 @@ impl SolveResponse {
 /// summary (milliseconds) of the merged per-op solve histograms — the
 /// payload of a `stats` response.
 ///
-/// The latency quantiles come from the `mosc-obs` latency histograms,
-/// which record only while the global recorder is enabled; a server run
-/// without `--obs` reports them as `0`.
+/// The latency quantiles and maximum come from the `mosc-obs` latency
+/// histograms, which record only while the global recorder is enabled. An
+/// empty histogram has no quantiles, so a server run without `--obs`
+/// reports them as `None` (`null` on the wire), never as a false `0`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[allow(missing_docs)] // field names mirror the serve.* metrics one-to-one
 pub struct ServeStats {
@@ -761,11 +762,11 @@ pub struct ServeStats {
     pub cache_len: u64,
     pub uptime_s: f64,
     pub req_per_s: f64,
-    pub p50_ms: f64,
-    pub p90_ms: f64,
-    pub p99_ms: f64,
-    pub p999_ms: f64,
-    pub max_ms: f64,
+    pub p50_ms: Option<f64>,
+    pub p90_ms: Option<f64>,
+    pub p99_ms: Option<f64>,
+    pub p999_ms: Option<f64>,
+    pub max_ms: Option<f64>,
     /// Trace id of the slowest recently exemplified solve (the exemplar of
     /// the highest non-empty latency bucket); `0` when no traced solve has
     /// been recorded. Travels as a 32-hex-digit string and is omitted from
@@ -780,6 +781,7 @@ impl ServeStats {
     #[must_use]
     pub fn to_json(&self, id: &str) -> String {
         let n = |v: u64| Value::Number(v as f64);
+        let ms = |v: Option<f64>| v.map_or(Value::Null, Value::Number);
         let mut stats = Value::Object(vec![
             ("requests".to_owned(), n(self.requests)),
             ("responses".to_owned(), n(self.responses)),
@@ -794,11 +796,11 @@ impl ServeStats {
             ("cache_len".to_owned(), n(self.cache_len)),
             ("uptime_s".to_owned(), Value::Number(self.uptime_s)),
             ("req_per_s".to_owned(), Value::Number(self.req_per_s)),
-            ("p50_ms".to_owned(), Value::Number(self.p50_ms)),
-            ("p90_ms".to_owned(), Value::Number(self.p90_ms)),
-            ("p99_ms".to_owned(), Value::Number(self.p99_ms)),
-            ("p999_ms".to_owned(), Value::Number(self.p999_ms)),
-            ("max_ms".to_owned(), Value::Number(self.max_ms)),
+            ("p50_ms".to_owned(), ms(self.p50_ms)),
+            ("p90_ms".to_owned(), ms(self.p90_ms)),
+            ("p99_ms".to_owned(), ms(self.p99_ms)),
+            ("p999_ms".to_owned(), ms(self.p999_ms)),
+            ("max_ms".to_owned(), ms(self.max_ms)),
         ]);
         if self.slow_exemplar != 0 {
             if let Value::Object(members) = &mut stats {
@@ -833,6 +835,12 @@ impl ServeStats {
                 .and_then(Value::as_f64)
                 .ok_or_else(|| proto_err("", format!("stats.{name} must be a number")))
         };
+        let latency = |name: &str| -> Result<Option<f64>, ProtoError> {
+            match doc.get(name) {
+                Some(Value::Null) => Ok(None),
+                _ => num(name).map(Some),
+            }
+        };
         Ok(Self {
             requests: count("requests")?,
             responses: count("responses")?,
@@ -847,11 +855,11 @@ impl ServeStats {
             cache_len: count("cache_len")?,
             uptime_s: num("uptime_s")?,
             req_per_s: num("req_per_s")?,
-            p50_ms: num("p50_ms")?,
-            p90_ms: num("p90_ms")?,
-            p99_ms: num("p99_ms")?,
-            p999_ms: num("p999_ms")?,
-            max_ms: num("max_ms")?,
+            p50_ms: latency("p50_ms")?,
+            p90_ms: latency("p90_ms")?,
+            p99_ms: latency("p99_ms")?,
+            p999_ms: latency("p999_ms")?,
+            max_ms: latency("max_ms")?,
             slow_exemplar: match doc.get("slow_exemplar") {
                 None => 0,
                 Some(Value::String(s)) => u128::from_str_radix(s, 16)

@@ -348,7 +348,7 @@ pub(crate) struct Shared {
 impl Shared {
     fn stats(&self) -> ServeStats {
         let merged = self.metrics.solve_total();
-        let q = |p: f64| merged.quantile(p).map_or(0.0, |s| s * 1e3);
+        let q = |p: f64| merged.quantile(p).map(|s| s * 1e3);
         ServeStats {
             requests: self.metrics.requests.get(),
             responses: self.metrics.responses.get(),
@@ -367,7 +367,7 @@ impl Shared {
             p90_ms: q(0.9),
             p99_ms: q(0.99),
             p999_ms: q(0.999),
-            max_ms: if merged.count > 0 { merged.max * 1e3 } else { 0.0 },
+            max_ms: (merged.count > 0).then_some(merged.max * 1e3),
             slow_exemplar: self.metrics.slow_exemplar().map_or(0, |e| e.trace_id),
         }
     }
@@ -1497,11 +1497,11 @@ mod tests {
             cache_len: 5,
             uptime_s: 1.25,
             req_per_s: 2.5,
-            p50_ms: 10.0,
-            p90_ms: 20.0,
-            p99_ms: 30.0,
-            p999_ms: 31.0,
-            max_ms: 31.5,
+            p50_ms: Some(10.0),
+            p90_ms: Some(20.0),
+            p99_ms: Some(30.0),
+            p999_ms: Some(31.0),
+            max_ms: None,
             slow_exemplar: 0xdead_beef,
         };
         let line = stats.to_json("quote\"and\nnewline");
@@ -1515,6 +1515,9 @@ mod tests {
         assert_eq!(payload.get("p99_ms").and_then(Value::as_f64), Some(30.0));
         assert_eq!(payload.get("p999_ms").and_then(Value::as_f64), Some(31.0));
         assert_eq!(payload.get("req_per_s").and_then(Value::as_f64), Some(2.5));
+        // An absent summary value travels as null, not as a false zero.
+        assert_eq!(payload.get("max_ms"), Some(&Value::Null));
+        assert_eq!(ServeStats::from_value(payload).expect("parses back"), stats);
         assert_eq!(
             payload.get("slow_exemplar").and_then(Value::as_str),
             Some("000000000000000000000000deadbeef"),

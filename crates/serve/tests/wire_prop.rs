@@ -168,6 +168,11 @@ fn random_error_kind(rng: &mut Rng64) -> ErrorKind {
     ALL[rng.below(ALL.len() as u64) as usize]
 }
 
+/// A latency summary value: absent (an empty histogram) one time in four.
+fn random_latency(rng: &mut Rng64) -> Option<f64> {
+    (rng.below(4) != 0).then(|| random_f64(rng))
+}
+
 fn random_serve_stats(rng: &mut Rng64) -> ServeStats {
     let mut count = || rng.below(1 << 32);
     ServeStats {
@@ -184,11 +189,11 @@ fn random_serve_stats(rng: &mut Rng64) -> ServeStats {
         cache_len: count(),
         uptime_s: random_f64(rng),
         req_per_s: random_f64(rng),
-        p50_ms: random_f64(rng),
-        p90_ms: random_f64(rng),
-        p99_ms: random_f64(rng),
-        p999_ms: random_f64(rng),
-        max_ms: random_f64(rng),
+        p50_ms: random_latency(rng),
+        p90_ms: random_latency(rng),
+        p99_ms: random_latency(rng),
+        p999_ms: random_latency(rng),
+        max_ms: random_latency(rng),
         slow_exemplar: if rng.below(2) == 0 {
             0
         } else {

@@ -931,6 +931,13 @@ fn render_stats(addr: &str, stats: &mosc::analyze::json::Value) -> String {
     let num =
         |key: &str| stats.get(key).and_then(mosc::analyze::json::Value::as_f64).unwrap_or(0.0);
     let int = |key: &str| num(key) as u64;
+    // A daemon run without `--obs` has no latency data: `null`, shown as `-`.
+    let ms = |key: &str| {
+        stats
+            .get(key)
+            .and_then(mosc::analyze::json::Value::as_f64)
+            .map_or_else(|| "-".to_owned(), |v| format!("{v:.2}"))
+    };
     let (hits, misses) = (num("cache_hits"), num("cache_misses"));
     let hit_rate = if hits + misses > 0.0 { 100.0 * hits / (hits + misses) } else { 0.0 };
     let mut out = format!(
@@ -939,7 +946,7 @@ fn render_stats(addr: &str, stats: &mosc::analyze::json::Value) -> String {
          rejected   {:>8}   deadline+ {:>8}   malformed {:>4}\n\
          cache      {:>8} hit / {} miss ({hit_rate:.1}% hit, {} evicted, {} live)\n\
          queue      {:>8} deep (peak {})\n\
-         latency ms {:>8.2} p50 {:>10.2} p90 {:>10.2} p99 {:>10.2} p999 {:>9.2} max\n",
+         latency ms {:>8} p50 {:>10} p90 {:>10} p99 {:>10} p999 {:>9} max\n",
         num("uptime_s"),
         int("requests"),
         int("responses"),
@@ -953,11 +960,11 @@ fn render_stats(addr: &str, stats: &mosc::analyze::json::Value) -> String {
         int("cache_len"),
         int("queue_depth"),
         int("queue_peak"),
-        num("p50_ms"),
-        num("p90_ms"),
-        num("p99_ms"),
-        num("p999_ms"),
-        num("max_ms"),
+        ms("p50_ms"),
+        ms("p90_ms"),
+        ms("p99_ms"),
+        ms("p999_ms"),
+        ms("max_ms"),
     );
     // The slowest-bucket exemplar, when the daemon has one: the trace id to
     // feed `mosc-cli trace` for a worked example of the tail latency.
