@@ -10,6 +10,9 @@ set -eu
 DENY=0
 [ "${1:-}" = "--deny" ] && DENY=1
 
+echo "==> workspace Rust LoC (the figure CHANGES.md records)"
+find crates src tests examples benches -name '*.rs' | xargs cat | wc -l
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -425,10 +425,12 @@ pub fn solve_batch(
     variants: &[BatchVariant],
     threads: usize,
 ) -> Vec<Result<SolveReport>> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        threads
+    // A single variant never fans out, so it skips the parallelism probe,
+    // which on Linux reads cgroup files on every call.
+    let threads = match threads {
+        _ if variants.len() <= 1 => 1,
+        0 => std::thread::available_parallelism().map_or(1, usize::from),
+        t => t,
     }
     .min(variants.len())
     .max(1);

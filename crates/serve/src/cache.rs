@@ -21,7 +21,7 @@
 //!   the `Arc`, not the value, so hit cost no longer scales with
 //!   `schedule_text` size.
 
-use crate::proto::{canonical_json, options_to_json, SolveRequest};
+use crate::proto::options_to_json;
 use mosc_core::{Platform, SolveOptions, SolveReport, SolverKind, SolverStats};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -48,15 +48,10 @@ pub struct CacheKey {
     pub preimage: String,
 }
 
-/// The cache key of a solve request: platform + solver kind + options, with
-/// the deadline masked out (see the module docs).
-#[must_use]
-pub fn cache_key(req: &SolveRequest) -> CacheKey {
-    cache_key_parts(&canonical_json(&req.platform), req.kind, &req.options)
-}
-
-/// [`cache_key`] from pre-serialized parts: the batch path canonicalizes
-/// the shared platform once and derives every variant's key from it.
+/// The cache key of one solve: the canonical platform serialization (see
+/// [`crate::proto::canonical_json`]) + solver kind + options, with the
+/// deadline masked out (see the module docs). A dispatch canonicalizes its
+/// platform once and derives every variant's key from it.
 #[must_use]
 pub fn cache_key_parts(
     canonical_platform: &str,
@@ -185,6 +180,7 @@ impl LruCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::canonical_json;
     use mosc_analyze::json::Value;
 
     fn dummy(throughput: f64) -> CachedSolve {
@@ -273,46 +269,22 @@ mod tests {
 
     #[test]
     fn cache_key_is_member_order_independent_but_value_sensitive() {
-        let mk = |platform: &str| SolveRequest {
-            id: "x".into(),
-            kind: SolverKind::Ao,
-            platform: Value::parse(platform).unwrap(),
-            options: SolveOptions::default(),
-            want_schedule: false,
-            trace: None,
+        let key = |platform: &str, kind: SolverKind, options: &SolveOptions| {
+            cache_key_parts(&canonical_json(&Value::parse(platform).unwrap()), kind, options)
         };
-        let a = mk(r#"{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":55.0}"#);
-        let b = mk(r#"{"t_max_c":55.0,"levels":[0.6,1.3],"cols":2,"rows":1}"#);
-        assert_eq!(cache_key(&a), cache_key(&b), "member order must not matter");
-        let c = mk(r#"{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":56.0}"#);
-        assert_ne!(cache_key(&a).hash, cache_key(&c).hash, "values must matter");
-        // The solver kind and options are part of the key; the deadline and
-        // the id are not.
-        let mut d = a.clone();
-        d.kind = SolverKind::Lns;
-        assert_ne!(cache_key(&a).hash, cache_key(&d).hash);
-        let mut e = a.clone();
-        e.options.threads = 7;
-        assert_ne!(cache_key(&a).hash, cache_key(&e).hash);
-        let mut f = a.clone();
-        f.id = "other".into();
-        f.options.deadline = Some(std::time::Duration::from_secs(1));
-        assert_eq!(cache_key(&a), cache_key(&f));
-    }
-
-    #[test]
-    fn cache_key_parts_matches_cache_key() {
-        let req = SolveRequest {
-            id: "x".into(),
-            kind: SolverKind::Pco,
-            platform: Value::parse(r#"{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":55.0}"#)
-                .unwrap(),
-            options: SolveOptions::default(),
-            want_schedule: false,
-            trace: None,
-        };
-        let direct = cache_key(&req);
-        let parts = cache_key_parts(&canonical_json(&req.platform), req.kind, &req.options);
-        assert_eq!(direct, parts);
+        let opts = SolveOptions::default();
+        let a = r#"{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":55.0}"#;
+        let b = r#"{"t_max_c":55.0,"levels":[0.6,1.3],"cols":2,"rows":1}"#;
+        let ao = SolverKind::Ao;
+        assert_eq!(key(a, ao, &opts), key(b, ao, &opts), "member order must not matter");
+        let c = r#"{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":56.0}"#;
+        assert_ne!(key(a, ao, &opts).hash, key(c, ao, &opts).hash, "values must matter");
+        // The solver kind and options are part of the key; the deadline is
+        // not.
+        assert_ne!(key(a, ao, &opts).hash, key(a, SolverKind::Lns, &opts).hash);
+        let threads = SolveOptions { threads: 7, ..opts };
+        assert_ne!(key(a, ao, &opts).hash, key(a, ao, &threads).hash);
+        let deadline = SolveOptions { deadline: Some(std::time::Duration::from_secs(1)), ..opts };
+        assert_eq!(key(a, ao, &opts), key(a, ao, &deadline));
     }
 }

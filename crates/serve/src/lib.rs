@@ -52,7 +52,7 @@ pub mod proto;
 pub mod queue;
 pub mod server;
 
-pub use cache::{cache_key, cache_key_parts, CacheKey, CachedSolve, LruCache};
+pub use cache::{cache_key_parts, CacheKey, CachedSolve, LruCache};
 pub use proto::{
     fresh_span_id, fresh_trace_id, negotiate_version, parse_request, BatchRequest, BatchResponse,
     BatchVariantRequest, ErrorKind, HelloResponse, Request, Response, SolveRequest, SolveResponse,

@@ -475,30 +475,50 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
 }
 
 fn parse_solve(doc: &Value, id: String) -> Result<SolveRequest, ProtoError> {
-    let solver = match doc.get("solver") {
-        None => return Err(proto_err(&id, "solve request needs a 'solver' member")),
-        Some(Value::String(s)) => {
-            s.parse::<SolverKind>().map_err(|e| proto_err(&id, e.to_string()))?
-        }
-        Some(_) => return Err(proto_err(&id, "'solver' must be a string")),
-    };
+    let BatchVariantRequest { kind, options, want_schedule } = parse_variant(doc, &id, None)?;
     let platform = match doc.get("platform") {
         Some(p @ Value::Object(_)) => p.clone(),
         Some(_) => return Err(proto_err(&id, "'platform' must be an object")),
         None => return Err(proto_err(&id, "solve request needs a 'platform' object")),
     };
-    let options = match doc.get("options") {
-        None => SolveOptions::default(),
-        Some(o @ Value::Object(_)) => parse_options(o, &id)?,
-        Some(_) => return Err(proto_err(&id, "'options' must be an object")),
+    let trace = parse_trace(doc, &id)?;
+    Ok(SolveRequest { id, kind, platform, options, want_schedule, trace })
+}
+
+/// Parses the `solver`, `options` and `want_schedule` members of a solve
+/// line (`at = None`) or of its `variants[i]` (`at = Some(i)`); the error
+/// messages name the member where the client wrote it.
+fn parse_variant(
+    v: &Value,
+    id: &str,
+    at: Option<usize>,
+) -> Result<BatchVariantRequest, ProtoError> {
+    let path = at.map(|i| format!("variants[{i}]"));
+    let member = |name: &str| path.as_ref().map_or(format!("'{name}'"), |w| format!("{w}.{name}"));
+    let kind = match v.get("solver") {
+        None => {
+            let owner = path.as_deref().unwrap_or("solve request");
+            return Err(proto_err(id, format!("{owner} needs a 'solver' member")));
+        }
+        Some(Value::String(s)) => s.parse::<SolverKind>().map_err(|e| match &path {
+            None => proto_err(id, e.to_string()),
+            Some(w) => proto_err(id, format!("{w}: {e}")),
+        })?,
+        Some(_) => return Err(proto_err(id, format!("{} must be a string", member("solver")))),
     };
-    let want_schedule = match doc.get("want_schedule") {
+    let options = match v.get("options") {
+        None => SolveOptions::default(),
+        Some(o @ Value::Object(_)) => parse_options(o, id)?,
+        Some(_) => return Err(proto_err(id, format!("{} must be an object", member("options")))),
+    };
+    let want_schedule = match v.get("want_schedule") {
         None => false,
         Some(Value::Bool(b)) => *b,
-        Some(_) => return Err(proto_err(&id, "'want_schedule' must be a boolean")),
+        Some(_) => {
+            return Err(proto_err(id, format!("{} must be a boolean", member("want_schedule"))))
+        }
     };
-    let trace = parse_trace(doc, &id)?;
-    Ok(SolveRequest { id, kind: solver, platform, options, want_schedule, trace })
+    Ok(BatchVariantRequest { kind, options, want_schedule })
 }
 
 /// Parses the optional v2 `trace` member of a solve/`solve_batch` line.
@@ -537,33 +557,7 @@ fn parse_solve_batch(doc: &Value, id: String) -> Result<BatchRequest, ProtoError
         if !v.is_object() {
             return Err(proto_err(&id, format!("variants[{i}] must be an object")));
         }
-        let kind = match v.get("solver") {
-            None => return Err(proto_err(&id, format!("variants[{i}] needs a 'solver' member"))),
-            Some(Value::String(s)) => s
-                .parse::<SolverKind>()
-                .map_err(|e| proto_err(&id, format!("variants[{i}]: {e}")))?,
-            Some(_) => {
-                return Err(proto_err(&id, format!("variants[{i}].solver must be a string")))
-            }
-        };
-        let options = match v.get("options") {
-            None => SolveOptions::default(),
-            Some(o @ Value::Object(_)) => parse_options(o, &id)?,
-            Some(_) => {
-                return Err(proto_err(&id, format!("variants[{i}].options must be an object")))
-            }
-        };
-        let want_schedule = match v.get("want_schedule") {
-            None => false,
-            Some(Value::Bool(b)) => *b,
-            Some(_) => {
-                return Err(proto_err(
-                    &id,
-                    format!("variants[{i}].want_schedule must be a boolean"),
-                ))
-            }
-        };
-        variants.push(BatchVariantRequest { kind, options, want_schedule });
+        variants.push(parse_variant(v, &id, Some(i))?);
     }
     let trace = parse_trace(doc, &id)?;
     Ok(BatchRequest { id, platform, variants, trace })
@@ -1416,6 +1410,45 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.message.contains("capped"));
+    }
+
+    /// The `solver`, `options` and `want_schedule` members of a solve line
+    /// and of a batch variant are parsed by one helper; each keeps its own
+    /// message.
+    #[test]
+    fn variant_member_errors_name_the_member_where_it_was_written() {
+        let platform = r#"{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":55.0}"#;
+        let cases = [
+            ("{}", "solve request needs a 'solver' member", "variants[0] needs a 'solver' member"),
+            (r#"{"solver":"warp"}"#, "unknown solver", "variants[0]: unknown solver"),
+            (r#"{"solver":1}"#, "'solver' must be a string", "variants[0].solver must be a string"),
+            (
+                r#"{"solver":"ao","options":1}"#,
+                "'options' must be an object",
+                "variants[0].options must be an object",
+            ),
+            (
+                r#"{"solver":"ao","want_schedule":1}"#,
+                "'want_schedule' must be a boolean",
+                "variants[0].want_schedule must be a boolean",
+            ),
+            (
+                r#"{"solver":"ao","options":{"threads":-1}}"#,
+                "options.threads must be a non-negative integer",
+                "options.threads must be a non-negative integer",
+            ),
+        ];
+        for (variant, single, batch) in cases {
+            let Ok(Value::Object(mut members)) = Value::parse(variant) else { unreachable!() };
+            members.push(("platform".to_owned(), Value::parse(platform).unwrap()));
+            let line = value_to_json(&Value::Object(members));
+            let message = parse_request(&line).unwrap_err().message;
+            assert!(message.starts_with(single), "{line}: {message}");
+            let line =
+                format!(r#"{{"op":"solve_batch","platform":{platform},"variants":[{variant}]}}"#);
+            let message = parse_request(&line).unwrap_err().message;
+            assert!(message.starts_with(batch), "{line}: {message}");
+        }
     }
 
     #[test]

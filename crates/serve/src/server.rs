@@ -16,6 +16,21 @@
 //! answered it inline (protocol ops, cache hits, rejections) or a worker
 //! did (solve results), so each line lands on the socket unfragmented.
 //!
+//! ## One worker path
+//!
+//! A solver's output is a pure function of `(platform, solver, options)`,
+//! so a `solve` line is the one-variant case of a `solve_batch`. The I/O
+//! thread turns either into one `Job`: the platform, canonicalized once,
+//! plus 1..=256 variants, each with its own solver, options, cache key
+//! and deadline (counted from receipt). Only a `solve` takes the cache
+//! fast path on the I/O thread. A worker runs every job the same way
+//! (`process_dispatch`): resolve the platform once, then per variant
+//! check the deadline and the cache, then solve the misses together and
+//! refuse to cache a result that finished past its deadline. A small
+//! framing value decides only the response shape, the variant ids, span
+//! parenting and how a whole-line answer is logged; the platform-resolve
+//! policy (registry for `solve_batch` only) also follows the op.
+//!
 //! ## Request lifecycle timestamps
 //!
 //! Every request is stamped at the points DESIGN.md §12 names: `t_recv`
@@ -42,20 +57,22 @@
 //! job (each still gets its response, an `internal` error if its solve
 //! panicked), and joins all threads before returning from [`Server::run`].
 
-use crate::cache::{cache_key, cache_key_parts, fnv1a, CacheKey, CachedSolve, LruCache};
+use crate::cache::{cache_key_parts, fnv1a, CacheKey, CachedSolve, LruCache};
 use crate::metrics::ServeMetrics;
 use crate::outbox::Outbox;
 use crate::proto::{
     batch_response_to_json, canonical_json, error_to_json, fresh_span_id, fresh_trace_id,
-    overloaded_to_json, parse_request, value_to_json, BatchRequest, ErrorKind, HelloResponse,
-    ProtoError, Request, Response, SolveRequest, SolveResponse,
+    overloaded_to_json, parse_request, value_to_json, BatchRequest, BatchVariantRequest, ErrorKind,
+    HelloResponse, ProtoError, Request, Response, SolveRequest, SolveResponse,
 };
 use crate::queue::{BoundedQueue, QueueFull};
 use mosc_analyze::json::Value;
-use mosc_core::{BatchVariant, KernelDelta, SolveOptions, SolverKind};
+use mosc_analyze::SpecError;
+use mosc_core::{BatchVariant, KernelDelta, Platform, SolveOptions, SolverKind};
 use mosc_obs::{
     bucket_upper, FlightKind, FlightRecorder, TraceContext, TraceSnapshot, LOG_BUCKETS,
 };
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -298,17 +315,52 @@ impl TraceIds {
     }
 }
 
-/// One queued unit of work, stamped at receipt and at enqueue.
+/// Which line a [`Job`] answers. A `solve` is the one-variant case of a
+/// `solve_batch`, so both run the same worker path; the framing decides
+/// only the response shape, the variant ids, the span parenting and how
+/// an answer covering the whole line (overload, broken platform, panic)
+/// is logged. The platform-resolve policy also follows the op (see
+/// [`Job::resolve_platform`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Framing {
+    /// A `solve` line: its one variant answers under the line's id and span.
+    Solve,
+    /// A `solve_batch` line: one framed response, variant `i` answering as
+    /// `"<id>#<i>"` under a child span of the line's dispatch span.
+    Batch,
+}
+
+/// One variant of a dispatch, keyed and given its deadline at receipt.
+struct Variant {
+    kind: SolverKind,
+    options: SolveOptions,
+    want_schedule: bool,
+    key: CacheKey,
+    /// `deadline_ms` (or the daemon default) counted from `t_recv`, so time
+    /// spent queued counts against it.
+    deadline_at: Option<Instant>,
+}
+
+/// One queued unit of work: a platform and the variants to run on it,
+/// stamped at receipt and at enqueue.
 pub(crate) struct Job {
-    payload: Payload,
+    framing: Framing,
+    /// The line's id: a solve answers under it, batch variants derive
+    /// theirs from it.
+    id: String,
+    platform: Value,
+    /// The canonical platform serialization, computed once on the I/O
+    /// thread: every variant's cache key and the registry preimage.
+    canonical_platform: String,
+    /// 1..=256 variants, in request (and response) order.
+    variants: Vec<Variant>,
     conn: u64,
-    /// First per-connection sequence number of this line. A batch line
-    /// consumes one seq per variant (variant `i` logs as `seq + i`), so the
+    /// First per-connection sequence number of this line. A line consumes
+    /// one seq per variant (variant `i` logs as `seq + i`), so the
     /// per-connection sequence stays collision-free for the M093 lint.
     seq: u64,
     /// Where the response goes: the event loop's completion outbox.
     outbox: Arc<Outbox>,
-    deadline_at: Option<Instant>,
     t_recv: Instant,
     t_enqueue: Instant,
     /// The server span for this line (the dispatch span for a batch, whose
@@ -316,14 +368,135 @@ pub(crate) struct Job {
     trace: TraceIds,
 }
 
-/// What a queued line asks for.
-enum Payload {
-    /// One solver on one platform, keyed for the solution cache.
-    Single(SolveRequest, CacheKey),
-    /// Many variants of one shared platform. The second field is the
-    /// canonical platform serialization — the interning-registry preimage —
-    /// computed once on the I/O thread.
-    Batch(BatchRequest, String),
+impl Job {
+    /// Canonicalizes the platform, then keys every variant and starts its
+    /// deadline clock at `t_recv`.
+    fn new(
+        shared: &Shared,
+        framing: Framing,
+        req: BatchRequest,
+        outbox: &Arc<Outbox>,
+        t_recv: Instant,
+        conn: u64,
+        seq: u64,
+    ) -> Self {
+        let canonical_platform = canonical_json(&req.platform);
+        let default_deadline = shared.opts.default_deadline;
+        let variants = req
+            .variants
+            .into_iter()
+            .map(|v| Variant {
+                key: cache_key_parts(&canonical_platform, v.kind, &v.options),
+                deadline_at: v.options.deadline.or(default_deadline).map(|d| t_recv + d),
+                kind: v.kind,
+                options: v.options,
+                want_schedule: v.want_schedule,
+            })
+            .collect();
+        Self {
+            framing,
+            id: req.id,
+            platform: req.platform,
+            canonical_platform,
+            variants,
+            conn,
+            seq,
+            outbox: outbox.clone(),
+            t_recv,
+            t_enqueue: Instant::now(),
+            trace: TraceIds::continue_from(req.trace.as_ref()),
+        }
+    }
+
+    /// Builds the platform once for every variant. A batch interns it
+    /// through [`mosc_core::registry`] and reports whether the registry was
+    /// warm (`Some`); a single solve builds it and drops it with the
+    /// request (`None`), which keeps the daemon's resident set flat under
+    /// single-solve traffic (DESIGN.md §15).
+    fn resolve_platform(&self) -> Result<(Arc<Platform>, Option<bool>), SpecError> {
+        let build = || {
+            let doc = Value::Object(vec![("platform".to_owned(), self.platform.clone())]);
+            mosc_analyze::platform_from_doc(&doc)
+        };
+        match self.framing {
+            Framing::Solve => build().map(|p| (Arc::new(p), None)),
+            Framing::Batch => mosc_core::registry::intern_with(&self.canonical_platform, build)
+                .map(|(p, warm)| (p, Some(warm))),
+        }
+    }
+
+    /// Variant `i`'s response id and trace identity: the line's own for a
+    /// solve; `"<id>#<i>"` and a fresh child span (one shared trace id, one
+    /// shared parent — the containment the M122 lint asserts) in a batch.
+    fn variant_ids(&self, i: usize) -> (Cow<'_, str>, TraceIds) {
+        match self.framing {
+            Framing::Solve => (Cow::Borrowed(&self.id), self.trace),
+            Framing::Batch => (Cow::Owned(format!("{}#{i}", self.id)), self.trace.child()),
+        }
+    }
+
+    /// Variant `i`'s access entry under `id`/`ids`: received at `t_recv`
+    /// and answered without queueing, until the caller overrides the
+    /// outcome and queue-timing fields.
+    fn variant_completion<'a>(&'a self, i: usize, id: &'a str, ids: TraceIds) -> Completion<'a> {
+        let v = &self.variants[i];
+        Completion {
+            id,
+            op: "solve",
+            solver: Some(v.kind),
+            status: "ok",
+            cached: false,
+            conn: self.conn,
+            seq: self.seq + i as u64,
+            key: Some(v.key.hash),
+            t_recv: self.t_recv,
+            t_enqueue: self.t_recv,
+            queue_wait: 0.0,
+            service_start: self.t_recv,
+            deadline_at: v.deadline_at,
+            kernel: KernelDelta::default(),
+            trace: None,
+            batch: (self.framing == Framing::Batch).then_some(self.id.as_str()),
+            ids,
+        }
+    }
+
+    /// The access entry of an answer covering the whole line: a solve logs
+    /// it as its one variant's entry, a batch as one `solve_batch` entry
+    /// under the batch id.
+    fn line_completion(&self, status: &'static str) -> Completion<'_> {
+        match self.framing {
+            Framing::Solve => {
+                Completion { status, ..self.variant_completion(0, &self.id, self.trace) }
+            }
+            Framing::Batch => Completion {
+                batch: Some(&self.id),
+                ids: self.trace,
+                ..Completion::proto(
+                    &self.id,
+                    "solve_batch",
+                    status,
+                    self.t_recv,
+                    self.conn,
+                    self.seq,
+                )
+            },
+        }
+    }
+}
+
+/// A `solve` line as the one-variant dispatch it is.
+fn one_variant(req: SolveRequest) -> BatchRequest {
+    BatchRequest {
+        id: req.id,
+        platform: req.platform,
+        variants: vec![BatchVariantRequest {
+            kind: req.kind,
+            options: req.options,
+            want_schedule: req.want_schedule,
+        }],
+        trace: req.trace,
+    }
 }
 
 /// State shared by the event loop and the workers.
@@ -473,16 +646,10 @@ impl Server {
     }
 }
 
-/// The worker side: pop, enforce the deadline, consult the cache, solve,
-/// respond.
+/// The worker side: pop, then [`process_dispatch`].
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
-        run_job(shared, &job, |shared, job, t_dequeue| match &job.payload {
-            Payload::Single(req, key) => process_job(shared, job, req, key, t_dequeue),
-            Payload::Batch(req, canonical_platform) => {
-                process_batch(shared, job, req, canonical_platform, t_dequeue);
-            }
-        });
+        run_job(shared, &job, process_dispatch);
     }
 }
 
@@ -508,50 +675,23 @@ fn run_job(shared: &Shared, job: &Job, work: impl FnOnce(&Shared, &Job, Instant)
             .copied()
             .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
             .unwrap_or("no message");
-        answer_panicked(shared, job, t_dequeue, &format!("the solver panicked: {what}"));
+        let message = format!("the solver panicked: {what}");
+        answer_line_error(shared, job, t_dequeue, ErrorKind::Internal, &message);
     }
 }
 
-/// The one response line of a job whose processing panicked: an
-/// `internal` error under the line's own id (the batch id for a batch),
-/// recorded like any other completion.
-fn answer_panicked(shared: &Shared, job: &Job, t_dequeue: Instant, message: &str) {
-    match &job.payload {
-        Payload::Single(req, key) => finish(
-            shared,
-            &job.outbox,
-            &error_to_json(&req.id, ErrorKind::Internal.id(), message),
-            &Completion {
-                status: "error",
-                ..Completion::dequeued(job, &req.id, req.kind, key.hash, t_dequeue)
-            },
-        ),
-        Payload::Batch(req, _) => {
-            answer_batch_error(shared, job, &req.id, t_dequeue, ErrorKind::Internal, message);
-        }
-    }
-}
-
-/// Answers a whole batch line with one error line, logged under the
-/// batch's first seq.
-fn answer_batch_error(
+/// Answers a dequeued line with one error line under the line's own id
+/// (a panic, or a platform every variant shares failing to build).
+fn answer_line_error(
     shared: &Shared,
     job: &Job,
-    bid: &str,
     t_dequeue: Instant,
     kind: ErrorKind,
     message: &str,
 ) {
-    let c = Completion {
-        t_enqueue: job.t_enqueue,
-        queue_wait: t_dequeue.saturating_duration_since(job.t_enqueue).as_secs_f64(),
-        service_start: t_dequeue,
-        batch: Some(bid),
-        ids: job.trace,
-        ..Completion::proto(bid, "solve_batch", "error", job.t_recv, job.conn, job.seq)
-    };
+    let c = job.line_completion("error").dequeued(job, t_dequeue);
     let stamped = record_completion(shared, &c, Instant::now());
-    respond(shared, &job.outbox, bid, &error_to_json(bid, kind.id(), message), stamped);
+    respond(shared, &job.outbox, &job.id, &error_to_json(&job.id, kind.id(), message), stamped);
 }
 
 /// Everything [`finish`] needs to close out one request: identity, timing
@@ -621,46 +761,13 @@ impl<'a> Completion<'a> {
         }
     }
 
-    /// A solve (or one batch variant) received at `t_recv` and answered
-    /// without queueing, until the caller overrides the outcome fields.
-    fn solve(
-        id: &'a str,
-        kind: SolverKind,
-        key: u64,
-        t_recv: Instant,
-        conn: u64,
-        seq: u64,
-        ids: TraceIds,
-    ) -> Self {
-        Self {
-            id,
-            op: "solve",
-            solver: Some(kind),
-            status: "ok",
-            cached: false,
-            conn,
-            seq,
-            key: Some(key),
-            t_recv,
-            t_enqueue: t_recv,
-            queue_wait: 0.0,
-            service_start: t_recv,
-            deadline_at: None,
-            kernel: KernelDelta::default(),
-            trace: None,
-            batch: None,
-            ids,
-        }
-    }
-
-    /// A solve of `job`'s line, dequeued by a worker at `t_dequeue`.
-    fn dequeued(job: &Job, id: &'a str, kind: SolverKind, key: u64, t_dequeue: Instant) -> Self {
+    /// This entry of `job`'s line, dequeued by a worker at `t_dequeue`.
+    fn dequeued(self, job: &Job, t_dequeue: Instant) -> Self {
         Self {
             t_enqueue: job.t_enqueue,
             queue_wait: t_dequeue.saturating_duration_since(job.t_enqueue).as_secs_f64(),
             service_start: t_dequeue,
-            deadline_at: job.deadline_at,
-            ..Self::solve(id, kind, key, job.t_recv, job.conn, job.seq, job.trace)
+            ..self
         }
     }
 }
@@ -966,236 +1073,171 @@ fn write_access_trailer(shared: &Shared) {
     write_access_line(access, &doc);
 }
 
-fn process_job(shared: &Shared, job: &Job, req: &SolveRequest, key: &CacheKey, t_dequeue: Instant) {
-    let id = &req.id;
-    let base = Completion::dequeued(job, id, req.kind, key.hash, t_dequeue);
-    // Deadline may already have burned off while queued.
-    let remaining = match job.deadline_at {
-        None => None,
-        Some(at) => match at.checked_duration_since(Instant::now()) {
-            Some(left) if left > Duration::ZERO => Some(left),
-            _ => {
-                shared.metrics.on_deadline_exceeded();
-                flight_record(shared, FlightKind::Deadline, job.trace, 0);
-                flight_dump(shared, "deadline");
-                finish(
-                    shared,
-                    &job.outbox,
-                    &error_to_json(id, "deadline", "deadline expired while queued"),
-                    &Completion { status: "error", ..base },
-                );
-                return;
-            }
-        },
-    };
-    // A duplicate may have filled the cache while this job waited.
-    if let Some(hit) = shared.lock_cache().get(key) {
-        shared.metrics.on_cache_hit();
-        let line = render_ok(&req.id, req.want_schedule, &hit, true);
-        finish(shared, &job.outbox, &line, &Completion { cached: true, ..base });
-        return;
-    }
-    shared.metrics.on_cache_miss();
+/// One variant's outcome: the rendered result object plus what its access
+/// entry must say.
+struct VariantOutcome {
+    line: String,
+    status: &'static str,
+    cached: bool,
+    kernel: KernelDelta,
+    /// The solver's span tree, when it is this variant's alone.
+    trace: Option<TraceSnapshot>,
+}
 
-    let doc = Value::Object(vec![("platform".to_owned(), req.platform.clone())]);
-    let platform = match mosc_analyze::platform_from_doc(&doc) {
-        Ok(p) => p,
+impl VariantOutcome {
+    fn ok(line: String, cached: bool, kernel: KernelDelta) -> Self {
+        Self { line, status: "ok", cached, kernel, trace: None }
+    }
+
+    fn error(id: &str, kind: ErrorKind, message: &str) -> Self {
+        Self {
+            line: error_to_json(id, kind.id(), message),
+            status: "error",
+            cached: false,
+            kernel: KernelDelta::default(),
+            trace: None,
+        }
+    }
+}
+
+/// The worker side of every solve line, in one order: resolve the platform
+/// once; per variant check the deadline, then the cache; solve the misses
+/// together with [`mosc_core::solve_batch`] and fill the cache; record one
+/// access entry per variant (sequence number `job.seq + i`); answer the
+/// line once, in its framing.
+fn process_dispatch(shared: &Shared, job: &Job, t_dequeue: Instant) {
+    // Eigendecomposition work across the resolve is measured so the access
+    // log can prove a warm batch did none — the M110 lint joins
+    // `registry_hits > 0` against `eigen_calls`.
+    let eigs = || mosc_obs::counter_value("eigen.calls").unwrap_or(0);
+    let eigs_before = eigs();
+    let resolved = job.resolve_platform();
+    let resolve_eigs = eigs().saturating_sub(eigs_before);
+    let (platform, registry) = match resolved {
+        Ok(resolved) => resolved,
         Err(e) => {
-            finish(
-                shared,
-                &job.outbox,
-                &error_to_json(id, "usage", &e.to_string()),
-                &Completion { status: "error", ..base },
-            );
+            // Every variant shares the broken platform: one error line.
+            answer_line_error(shared, job, t_dequeue, ErrorKind::Usage, &e.to_string());
             return;
         }
     };
-    let opts = SolveOptions { deadline: remaining, ..req.options };
-    // The context hands this request's identity across the solve: the
-    // solver's root span tree and counter increments recorded on this
-    // thread land in the snapshot attached to the access-log line.
+    let ids: Vec<_> = (0..job.variants.len()).map(|i| job.variant_ids(i)).collect();
+    let mut outcomes: Vec<Option<VariantOutcome>> = Vec::with_capacity(job.variants.len());
+    let mut misses: Vec<usize> = Vec::new();
+    let mut to_solve: Vec<BatchVariant> = Vec::new();
+    for (i, v) in job.variants.iter().enumerate() {
+        let (id, span) = &ids[i];
+        // The deadline may already have burned off while queued.
+        let remaining = match v.deadline_at {
+            None => None,
+            Some(at) => match at.checked_duration_since(Instant::now()) {
+                Some(left) if left > Duration::ZERO => Some(left),
+                _ => {
+                    deadline_exceeded(shared, *span, 0);
+                    let message = "deadline expired while queued";
+                    outcomes.push(Some(VariantOutcome::error(id, ErrorKind::Deadline, message)));
+                    continue;
+                }
+            },
+        };
+        // A duplicate may have filled the cache while this job waited.
+        if let Some(hit) = shared.lock_cache().get(&v.key) {
+            shared.metrics.on_cache_hit();
+            let line = render_ok(id, v.want_schedule, &hit, true);
+            outcomes.push(Some(VariantOutcome::ok(line, true, KernelDelta::default())));
+            continue;
+        }
+        shared.metrics.on_cache_miss();
+        misses.push(i);
+        outcomes.push(None);
+        let options = SolveOptions { deadline: remaining, ..v.options };
+        to_solve.push(BatchVariant { kind: v.kind, options });
+    }
+    // The context hands the solve's identity across: the solver's root span
+    // tree recorded on this thread lands in the snapshot. It is attached
+    // only when the dispatch solved exactly one variant, because only then
+    // does the tree belong to one solve.
     let trace = TraceContext::new();
-    let result = trace.observe(|| mosc_core::solve(req.kind, &platform, &opts));
-    match result {
-        Ok(report) => {
+    let results = trace.observe(|| mosc_core::solve_batch(&platform, &to_solve, 0));
+    let mut spans = (misses.len() == 1).then(|| trace.snapshot());
+    for (&i, result) in misses.iter().zip(results) {
+        let (v, (id, span)) = (&job.variants[i], &ids[i]);
+        let outcome = match result {
             // The deadline must hold when the response is written, not just
             // at dequeue: the polynomial solvers run to completion by
             // contract, so a slow solve can sail past it. Answer the
             // deadline error the client asked for, and do NOT cache the
             // late result — a cache fill logged as an error would leave
             // later hits' keys unannounced for the M082 lint.
-            if job.deadline_at.is_some_and(|at| Instant::now() > at) {
-                shared.metrics.on_deadline_exceeded();
-                let late_us = Instant::now()
-                    .saturating_duration_since(job.deadline_at.unwrap_or_else(Instant::now))
-                    .as_micros() as u64;
-                flight_record(shared, FlightKind::Deadline, job.trace, late_us);
-                flight_dump(shared, "deadline");
-                finish(
-                    shared,
-                    &job.outbox,
-                    &error_to_json(id, "deadline", "deadline expired during solve"),
-                    &Completion {
-                        status: "error",
+            Ok(report) => match v.deadline_at.filter(|&at| Instant::now() > at) {
+                Some(at) => {
+                    let late_us = Instant::now().saturating_duration_since(at).as_micros() as u64;
+                    deadline_exceeded(shared, *span, late_us);
+                    let message = "deadline expired during solve";
+                    VariantOutcome {
                         kernel: report.kernel,
-                        trace: Some(trace.snapshot()),
-                        ..base
-                    },
-                );
-                return;
-            }
-            let cached = CachedSolve::of_report(req.kind, &report, &platform);
-            let line = render_ok(&req.id, req.want_schedule, &cached, false);
-            if shared.lock_cache().insert(key, cached) {
-                shared.metrics.on_cache_eviction();
-            }
-            finish(
-                shared,
-                &job.outbox,
-                &line,
-                &Completion { kernel: report.kernel, trace: Some(trace.snapshot()), ..base },
-            );
-        }
-        Err(e) => {
-            let kind = ErrorKind::of_algo(&e);
-            if kind == ErrorKind::Deadline {
-                shared.metrics.on_deadline_exceeded();
-            }
-            finish(
-                shared,
-                &job.outbox,
-                &error_to_json(id, kind.id(), &e.to_string()),
-                &Completion { status: "error", trace: Some(trace.snapshot()), ..base },
-            );
-        }
-    }
-}
-
-/// One variant's outcome inside a batch: the rendered result object plus
-/// what its access-log entry must say.
-struct VariantOutcome {
-    line: String,
-    status: &'static str,
-    cached: bool,
-    kernel: KernelDelta,
-}
-
-/// The worker side of `solve_batch`: resolve the shared platform once
-/// through the interning registry, consult the solution cache per variant,
-/// fan the misses over [`mosc_core::solve_batch`], fill the cache, record
-/// one access entry per variant (op `"solve"`, ids `"<batch id>#<i>"`,
-/// sequence numbers `job.seq + i`), and answer with a single framed line.
-fn process_batch(
-    shared: &Shared,
-    job: &Job,
-    req: &BatchRequest,
-    canonical_platform: &str,
-    t_dequeue: Instant,
-) {
-    let bid = &req.id;
-    // Resolve the platform once. Eigendecomposition work across the resolve
-    // is measured so the access log can prove a warm batch did none — the
-    // M110 lint joins `registry_hits > 0` against `eigen_calls`.
-    let eigs = || mosc_obs::counter_value("eigen.calls").unwrap_or(0);
-    let eigs_before = eigs();
-    let resolved = mosc_core::registry::intern_with(canonical_platform, || {
-        let doc = Value::Object(vec![("platform".to_owned(), req.platform.clone())]);
-        mosc_analyze::platform_from_doc(&doc)
-    });
-    let resolve_eigs = eigs().saturating_sub(eigs_before);
-    let (platform, warm) = match resolved {
-        Ok(resolved) => resolved,
-        Err(e) => {
-            // Every variant shares the broken platform: one error line for
-            // the whole batch.
-            answer_batch_error(shared, job, bid, t_dequeue, ErrorKind::Usage, &e.to_string());
-            return;
-        }
-    };
-    let ids: Vec<String> = (0..req.variants.len()).map(|i| format!("{bid}#{i}")).collect();
-    let keys: Vec<CacheKey> = req
-        .variants
-        .iter()
-        .map(|v| cache_key_parts(canonical_platform, v.kind, &v.options))
-        .collect();
-    let mut outcomes: Vec<Option<VariantOutcome>> = Vec::with_capacity(req.variants.len());
-    let mut misses: Vec<usize> = Vec::new();
-    for (i, v) in req.variants.iter().enumerate() {
-        if let Some(hit) = shared.lock_cache().get(&keys[i]) {
-            shared.metrics.on_cache_hit();
-            outcomes.push(Some(VariantOutcome {
-                line: render_ok(&ids[i], v.want_schedule, &hit, true),
-                status: "ok",
-                cached: true,
-                kernel: KernelDelta::default(),
-            }));
-        } else {
-            shared.metrics.on_cache_miss();
-            misses.push(i);
-            outcomes.push(None);
-        }
-    }
-    let variants: Vec<BatchVariant> = misses
-        .iter()
-        .map(|&i| BatchVariant { kind: req.variants[i].kind, options: req.variants[i].options })
-        .collect();
-    let results = mosc_core::solve_batch(&platform, &variants, 0);
-    for (&i, result) in misses.iter().zip(results) {
-        let v = &req.variants[i];
-        outcomes[i] = Some(match result {
-            Ok(report) => {
-                let cached = CachedSolve::of_report(v.kind, &report, &platform);
-                let line = render_ok(&ids[i], v.want_schedule, &cached, false);
-                if shared.lock_cache().insert(&keys[i], cached) {
-                    shared.metrics.on_cache_eviction();
+                        ..VariantOutcome::error(id, ErrorKind::Deadline, message)
+                    }
                 }
-                VariantOutcome { line, status: "ok", cached: false, kernel: report.kernel }
-            }
+                None => {
+                    let cached = CachedSolve::of_report(v.kind, &report, &platform);
+                    let line = render_ok(id, v.want_schedule, &cached, false);
+                    if shared.lock_cache().insert(&v.key, cached) {
+                        shared.metrics.on_cache_eviction();
+                    }
+                    VariantOutcome::ok(line, false, report.kernel)
+                }
+            },
             Err(e) => {
                 let kind = ErrorKind::of_algo(&e);
                 if kind == ErrorKind::Deadline {
                     shared.metrics.on_deadline_exceeded();
                 }
-                VariantOutcome {
-                    line: error_to_json(&ids[i], kind.id(), &e.to_string()),
-                    status: "error",
-                    cached: false,
-                    kernel: KernelDelta::default(),
-                }
+                VariantOutcome::error(id, kind, &e.to_string())
             }
-        });
+        };
+        outcomes[i] = Some(VariantOutcome { trace: spans.take(), ..outcome });
     }
     // Record every variant, then answer once. Registry attribution is
-    // deterministic: each variant reports the batch's resolve outcome, and
-    // the resolve's eigendecomposition work lands on the first variant.
+    // deterministic: each variant reports the dispatch's resolve outcome,
+    // and the resolve's eigendecomposition work lands on the first variant.
     let done = Instant::now();
     let mut lines = Vec::with_capacity(outcomes.len());
     let mut stamped = None;
-    for (i, outcome) in outcomes.into_iter().enumerate() {
+    for (i, (outcome, (id, span))) in outcomes.into_iter().zip(&ids).enumerate() {
         let Some(mut o) = outcome else { continue };
-        o.kernel.registry_hits = u64::from(warm);
-        o.kernel.registry_misses = u64::from(!warm);
+        if let Some(warm) = registry {
+            o.kernel.registry_hits = u64::from(warm);
+            o.kernel.registry_misses = u64::from(!warm);
+        }
         if i == 0 {
             o.kernel.eigen_calls = o.kernel.eigen_calls.saturating_add(resolve_eigs);
         }
         let c = Completion {
             status: o.status,
             cached: o.cached,
-            seq: job.seq + i as u64,
             kernel: o.kernel,
-            batch: Some(bid),
-            // Every variant is a child span of the batch's dispatch span:
-            // one shared trace id, one shared parent, a fresh span each —
-            // the containment the M122 lint asserts.
-            ids: job.trace.child(),
-            ..Completion::dequeued(job, &ids[i], req.variants[i].kind, keys[i].hash, t_dequeue)
+            trace: o.trace,
+            ..job.variant_completion(i, id, *span).dequeued(job, t_dequeue)
         };
         stamped = Some(record_completion(shared, &c, done));
         lines.push(o.line);
     }
     // The parser guarantees at least one variant, so at least one stamp.
     let Some(stamped) = stamped else { return };
-    respond(shared, &job.outbox, bid, &batch_response_to_json(bid, warm, &lines), stamped);
+    let line = match job.framing {
+        Framing::Solve => lines.swap_remove(0),
+        Framing::Batch => batch_response_to_json(&job.id, registry == Some(true), &lines),
+    };
+    respond(shared, &job.outbox, &job.id, &line, stamped);
+}
+
+/// Counts a variant whose deadline passed and snapshots the flight ring;
+/// `late_us` is the overshoot.
+fn deadline_exceeded(shared: &Shared, ids: TraceIds, late_us: u64) {
+    shared.metrics.on_deadline_exceeded();
+    flight_record(shared, FlightKind::Deadline, ids, late_us);
+    flight_dump(shared, "deadline");
 }
 
 /// Renders an ok response line under `id` from a (fresh or cached) solve;
@@ -1358,120 +1400,72 @@ pub(crate) fn handle_line(
             1
         }
         Request::Solve(req) => {
-            shared.metrics.on_request();
-            let ids = TraceIds::continue_from(req.trace.as_ref());
-            flight_record(shared, FlightKind::Recv, ids, 0);
-            let key = cache_key(&req);
-            mosc_obs::event(
-                "serve.request",
-                &[("id", id_hash(&req.id).into()), ("key", (key.hash & 0xFFFF_FFFF).into())],
-            );
-            // Fast path: answer cache hits on the I/O thread, without
-            // occupying a queue slot or a worker.
-            if let Some(hit) = shared.lock_cache().get(&key) {
-                shared.metrics.on_cache_hit();
-                let line = render_ok(&req.id, req.want_schedule, &hit, true);
-                finish(
-                    shared,
-                    outbox,
-                    &line,
-                    &Completion {
-                        cached: true,
-                        ..Completion::solve(&req.id, req.kind, key.hash, t_recv, conn, seq, ids)
-                    },
-                );
-                return 1;
-            }
-            let deadline_at =
-                req.options.deadline.or(shared.opts.default_deadline).map(|d| Instant::now() + d);
-            let job = Job {
-                payload: Payload::Single(req, key),
-                conn,
-                seq,
-                outbox: outbox.clone(),
-                deadline_at,
-                t_recv,
-                t_enqueue: Instant::now(),
-                trace: ids,
-            };
-            match shared.queue.try_push(job) {
-                Ok(depth) => {
-                    shared.metrics.on_queue_depth(depth as u64);
-                    flight_record(shared, FlightKind::Enqueue, ids, depth as u64);
-                }
-                Err(QueueFull(job)) => {
-                    shared.metrics.on_rejected();
-                    flight_record(shared, FlightKind::Overload, ids, shared.queue.len() as u64);
-                    flight_dump(shared, "overload");
-                    let Payload::Single(req, key) = &job.payload else { unreachable!() };
-                    finish(
-                        shared,
-                        &job.outbox,
-                        &overloaded_to_json(&req.id),
-                        // A rejected job never queued: its enqueue and
-                        // dequeue anchors collapse onto `t_recv` so the
-                        // logged pipeline order stays monotone.
-                        &Completion {
-                            status: "overloaded",
-                            deadline_at: job.deadline_at,
-                            ..Completion::solve(&req.id, req.kind, key.hash, t_recv, conn, seq, ids)
-                        },
-                    );
-                }
-            }
-            1
+            dispatch(shared, Framing::Solve, one_variant(req), outbox, t_recv, conn, seq)
         }
         Request::SolveBatch(req) => {
-            shared.metrics.on_request();
-            let consumed = req.variants.len() as u64;
-            // The dispatch span: one server span for the whole batch line,
-            // minted here so every variant (a child span solved later by a
-            // worker) shares it as parent.
-            let ids = TraceIds::continue_from(req.trace.as_ref());
-            flight_record(shared, FlightKind::Recv, ids, consumed);
-            // The registry preimage doubles as the request-event key, so
-            // repeated-platform batch traffic is visible in telemetry.
-            let canonical_platform = canonical_json(&req.platform);
-            mosc_obs::event(
-                "serve.request",
-                &[
-                    ("id", id_hash(&req.id).into()),
-                    ("key", (fnv1a(canonical_platform.as_bytes()) & 0xFFFF_FFFF).into()),
-                ],
-            );
-            let job = Job {
-                payload: Payload::Batch(req, canonical_platform),
-                conn,
-                seq,
-                outbox: outbox.clone(),
-                deadline_at: None,
-                t_recv,
-                t_enqueue: Instant::now(),
-                trace: ids,
-            };
-            match shared.queue.try_push(job) {
-                Ok(depth) => {
-                    shared.metrics.on_queue_depth(depth as u64);
-                    flight_record(shared, FlightKind::Enqueue, ids, depth as u64);
-                }
-                Err(QueueFull(job)) => {
-                    shared.metrics.on_rejected();
-                    flight_record(shared, FlightKind::Overload, ids, shared.queue.len() as u64);
-                    flight_dump(shared, "overload");
-                    let Payload::Batch(req, _) = &job.payload else { unreachable!() };
-                    let c = Completion {
-                        status: "overloaded",
-                        batch: Some(&req.id),
-                        ids,
-                        ..Completion::proto(&req.id, "solve_batch", "overloaded", t_recv, conn, seq)
-                    };
-                    let stamped = record_completion(shared, &c, Instant::now());
-                    respond(shared, &job.outbox, &req.id, &overloaded_to_json(&req.id), stamped);
-                }
-            }
-            consumed
+            dispatch(shared, Framing::Batch, req, outbox, t_recv, conn, seq)
         }
     }
+}
+
+/// Queues a solve line for the workers, answering a `solve` that hits the
+/// cache on the I/O thread instead, and a line the full queue cannot take
+/// with `overloaded`. Returns the sequence numbers the line consumed (one
+/// per variant).
+fn dispatch(
+    shared: &Shared,
+    framing: Framing,
+    req: BatchRequest,
+    outbox: &Arc<Outbox>,
+    t_recv: Instant,
+    conn: u64,
+    seq: u64,
+) -> u64 {
+    shared.metrics.on_request();
+    let job = Job::new(shared, framing, req, outbox, t_recv, conn, seq);
+    let consumed = job.variants.len() as u64;
+    flight_record(shared, FlightKind::Recv, job.trace, conn);
+    mosc_obs::event(
+        "serve.request",
+        &[
+            ("id", id_hash(&job.id).into()),
+            ("key", (job.variants[0].key.hash & 0xFFFF_FFFF).into()),
+        ],
+    );
+    // Fast path: answer a solve's cache hit on the I/O thread, without
+    // occupying a queue slot or a worker. Answered at receipt, it logs no
+    // deadline slack.
+    if job.framing == Framing::Solve {
+        if let Some(hit) = shared.lock_cache().get(&job.variants[0].key) {
+            shared.metrics.on_cache_hit();
+            let line = render_ok(&job.id, job.variants[0].want_schedule, &hit, true);
+            let c = Completion {
+                cached: true,
+                deadline_at: None,
+                ..job.variant_completion(0, &job.id, job.trace)
+            };
+            finish(shared, outbox, &line, &c);
+            return consumed;
+        }
+    }
+    let trace = job.trace;
+    match shared.queue.try_push(job) {
+        Ok(depth) => {
+            shared.metrics.on_queue_depth(depth as u64);
+            flight_record(shared, FlightKind::Enqueue, trace, depth as u64);
+        }
+        Err(QueueFull(job)) => {
+            shared.metrics.on_rejected();
+            flight_record(shared, FlightKind::Overload, trace, shared.queue.len() as u64);
+            flight_dump(shared, "overload");
+            // A rejected job never queued: its enqueue and dequeue anchors
+            // stay on `t_recv` so the logged pipeline order stays monotone.
+            let stamped =
+                record_completion(shared, &job.line_completion("overloaded"), Instant::now());
+            respond(shared, &job.outbox, &job.id, &overloaded_to_json(&job.id), stamped);
+        }
+    }
+    consumed
 }
 
 #[cfg(test)]
@@ -1540,28 +1534,12 @@ mod tests {
             r#"{{"id":"b","op":"solve_batch","platform":{platform},"variants":[{{"solver":"ao"}},{{"solver":"lns"}}]}}"#
         );
         for (line, id) in [(single, "s"), (batch, "b")] {
-            let payload = match parse_request(&line).expect("request parses") {
-                Request::Solve(req) => {
-                    let key = cache_key(&req);
-                    Payload::Single(req, key)
-                }
-                Request::SolveBatch(req) => {
-                    let canonical = canonical_json(&req.platform);
-                    Payload::Batch(req, canonical)
-                }
+            let (framing, req) = match parse_request(&line).expect("request parses") {
+                Request::Solve(req) => (Framing::Solve, one_variant(req)),
+                Request::SolveBatch(req) => (Framing::Batch, req),
                 other => panic!("not a solve: {other:?}"),
             };
-            let now = Instant::now();
-            let job = Job {
-                payload,
-                conn: 1,
-                seq: 0,
-                outbox: outbox.clone(),
-                deadline_at: None,
-                t_recv: now,
-                t_enqueue: now,
-                trace: TraceIds::continue_from(None),
-            };
+            let job = Job::new(shared, framing, req, &outbox, Instant::now(), 1, 0);
             run_job(shared, &job, |_, _, _| panic!("injected"));
             let want = error_to_json(id, "internal", "the solver panicked: injected") + "\n";
             assert_eq!(Vec::from(outbox.drain()), [(1, want)], "exactly one line for {id}");

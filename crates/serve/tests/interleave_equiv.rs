@@ -39,7 +39,7 @@ fn random_script(rng: &mut Rng64, conn: usize) -> Script {
     let lines = (0..n)
         .map(|i| {
             let id = format!("c{conn}r{i}");
-            match rng.below(6) {
+            match rng.below(8) {
                 0 => format!(r#"{{"id":"{id}","op":"ping"}}"#),
                 1 => format!(r#"{{"id":"{id}","op":"hello","max_version":1}}"#),
                 2 => format!(r#"{{"id":"{id}","op":"nonsense-op"}}"#),
@@ -52,6 +52,12 @@ fn random_script(rng: &mut Rng64, conn: usize) -> Script {
                         r#"{{"id":"{id}","solver":"exs","platform":{p},"options":{{"deadline_ms":0}}}}"#
                     )
                 }
+                6 => random_batch(rng, &id),
+                // Every variant shares the broken platform: one usage error
+                // for the whole line.
+                7 => format!(
+                    r#"{{"id":"{id}","op":"solve_batch","platform":{{"rows":0,"cols":0,"levels":[],"t_max_c":55.0}},"variants":[{{"solver":"ao"}},{{"solver":"lns"}}]}}"#
+                ),
                 _ => {
                     let p = PLATFORMS[rng.below(PLATFORMS.len() as u64) as usize];
                     let solver = if rng.below(2) == 0 { "ao" } else { "lns" };
@@ -63,6 +69,27 @@ fn random_script(rng: &mut Rng64, conn: usize) -> Script {
     let partial_tail =
         (rng.below(3) == 0).then(|| r#"{"id":"never","solver":"ao","pla"#.to_owned());
     Script { lines, partial_tail }
+}
+
+/// A `solve_batch` line of 1–3 AO/LNS variants on one of [`PLATFORMS`].
+/// One variant in three carries a zero deadline, which expires while
+/// queued whatever the cache holds.
+fn random_batch(rng: &mut Rng64, id: &str) -> String {
+    let p = PLATFORMS[rng.below(PLATFORMS.len() as u64) as usize];
+    let variants: Vec<String> = (0..1 + rng.below(3))
+        .map(|_| {
+            let solver = if rng.below(2) == 0 { "ao" } else { "lns" };
+            if rng.below(3) == 0 {
+                format!(r#"{{"solver":"{solver}","options":{{"deadline_ms":0}}}}"#)
+            } else {
+                format!(r#"{{"solver":"{solver}"}}"#)
+            }
+        })
+        .collect();
+    format!(
+        r#"{{"id":"{id}","op":"solve_batch","platform":{p},"variants":[{}]}}"#,
+        variants.join(",")
+    )
 }
 
 /// Normalizes one response line: volatile members (timings, cache/registry

@@ -161,6 +161,20 @@ fn malformed_and_unsolvable_requests_get_typed_errors() {
     let doc = roundtrip(addr, &line);
     assert_eq!(doc.get("kind").and_then(Value::as_str), Some("deadline"), "{doc:?}");
     assert!(handle.stats().deadline_exceeded >= 1);
+
+    // A batch variant's deadline counts from receipt as well: the
+    // zero-deadline variant answers `deadline` unsolved, its sibling solves.
+    let line = format!(
+        concat!(
+            r#"{{"id":"bdl","op":"solve_batch","platform":{p},"variants":["#,
+            r#"{{"solver":"ao","options":{{"deadline_ms":0}}}},{{"solver":"ao"}}]}}"#
+        ),
+        p = PLATFORM
+    );
+    let doc = roundtrip(addr, &line);
+    let results = doc.get("results").and_then(Value::as_array).expect("results array");
+    assert_eq!(results[0].get("kind").and_then(Value::as_str), Some("deadline"), "{doc:?}");
+    assert_eq!(results[1].get("status").and_then(Value::as_str), Some("ok"), "{doc:?}");
     handle.shutdown();
     join.join().expect("server thread");
 }
@@ -195,6 +209,30 @@ fn a_deadline_expiring_mid_solve_is_enforced_before_the_response() {
     let doc = roundtrip(addr, &line);
     assert_eq!(doc.get("status").and_then(Value::as_str), Some("ok"), "{doc:?}");
     assert_eq!(doc.get("cached").and_then(Value::as_bool), Some(false), "{doc:?}");
+
+    // A batch variant is held to its deadline the same way. Its platform
+    // differs from the one above, whose undeadlined key is cached by now.
+    let batch = |id: &str, options: &str| {
+        format!(
+            concat!(
+                r#"{{"id":"{id}","op":"solve_batch","#,
+                r#""platform":{{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":55.5}},"#,
+                r#""variants":[{{"solver":"governor","options":{options}}}]}}"#
+            ),
+            id = id,
+            options = options
+        )
+    };
+    let first_result =
+        |doc: &Value| doc.get("results").and_then(Value::as_array).and_then(|r| r.first()).cloned();
+    let doc =
+        roundtrip(addr, &batch("bslow", r#"{"deadline_ms":10,"governor_control_period":0.001}"#));
+    let result = first_result(&doc).expect("one result");
+    assert_eq!(result.get("kind").and_then(Value::as_str), Some("deadline"), "{doc:?}");
+    let doc = roundtrip(addr, &batch("bfresh", r#"{"governor_control_period":0.001}"#));
+    let result = first_result(&doc).expect("one result");
+    assert_eq!(result.get("status").and_then(Value::as_str), Some("ok"), "{doc:?}");
+    assert_eq!(result.get("cached").and_then(Value::as_bool), Some(false), "{doc:?}");
     handle.shutdown();
     join.join().expect("server thread");
 }
