@@ -455,6 +455,17 @@ printf '%s\n' '{"platform": {"rows": 1, "cols": 2, "levels": [0.6, 1.3], "t_max_
     | grep -q '"version":"2.1.0"' \
     || { echo "claim cross-check: SARIF output missing schema version" >&2; exit 1; }
 
+echo "==> exact work counters (cold solves build one eigendecomposition each)"
+# A cold CLI solve builds its platform once, and the build is the only
+# eigendecomposition: any other count means a solver re-derived the model.
+for case in "ao 4 4 75" "pco 3 3 65"; do
+    set -- $case
+    eigen_calls=$(./target/release/mosc-cli solve --algo "$1" --rows "$2" --cols "$3" --tmax "$4" --obs=json \
+        | sed -n 's/^{"type":"counter","name":"eigen.calls","value":\([0-9]*\)}$/\1/p')
+    test "$eigen_calls" = 1 \
+        || { echo "exact counters: $1 $2x$3 at $4 C made '$eigen_calls' eigendecompositions, expected 1" >&2; exit 1; }
+done
+
 # The sanitizer jobs need the nightly toolchain plus the miri / rust-src
 # components. They gate gracefully: absent tooling skips with a notice
 # rather than failing the whole pipeline (the container may be offline).

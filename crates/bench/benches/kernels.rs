@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the numerical kernels behind the computation-time
-//! claims: the matrix exponential, LU solves, the Jacobi eigensolver, and
-//! the diagonalized propagator that makes Algorithm 2's m sweep cheap.
+//! claims: the matrix exponential, LU solves, the symmetric eigensolver (QL,
+//! timed against the Jacobi oracle), and the diagonalized propagator that
+//! makes Algorithm 2's m sweep cheap.
 
 use mosc_bench::micro::Runner;
 use mosc_linalg::{expm_scaled, Lu, Matrix, SymmetricEigen, Vector};
@@ -56,19 +57,20 @@ fn bench_lu(r: &mut Runner) {
     }
 }
 
-fn bench_jacobi(r: &mut Runner) {
-    let mut group = r.group("jacobi");
-    for n in [8usize, 16, 32] {
-        let mut a = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                let v = (((i * 31 + j * 17) % 19) as f64 - 9.0) * 0.05;
-                a[(i, j)] = v;
-                a[(j, i)] = v;
-            }
-            a[(i, i)] += 2.0;
-        }
-        group.bench(&n.to_string(), || SymmetricEigen::new(black_box(&a)).expect("eigen"));
+fn bench_eigen(r: &mut Runner) {
+    let mut group = r.group("eigen");
+    // The symmetric form S = C^{1/2}·(−A)·C^{-1/2} of the 2×2, 3×3, 4×4 and
+    // 6×6 grid models: n = 14, 29, 50 and 110 nodes.
+    for (rows, cols) in [(2usize, 2usize), (3, 3), (4, 4), (6, 6)] {
+        let model = thermal_model(rows, cols);
+        let a = model.a_matrix();
+        let c = model.network().capacitance();
+        let s = Matrix::from_fn(a.rows(), a.cols(), |i, j| -a[(i, j)] * (c[i] / c[j]).sqrt());
+        let n = s.rows();
+        group.bench(&format!("ql/{n}"), || SymmetricEigen::new(black_box(&s)).expect("ql"));
+        group.bench(&format!("jacobi/{n}"), || {
+            SymmetricEigen::jacobi(black_box(&s)).expect("jacobi")
+        });
     }
 }
 
@@ -88,6 +90,6 @@ fn main() {
     bench_expm(&mut r);
     bench_propagator_paths(&mut r);
     bench_lu(&mut r);
-    bench_jacobi(&mut r);
+    bench_eigen(&mut r);
     bench_steady_state(&mut r);
 }

@@ -297,9 +297,7 @@ fn tpt_trial(
 /// Resolves a requested worker count (`0` = all available) against the
 /// number of independent work items.
 pub(crate) fn thread_count(requested: usize, work: usize) -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, usize::from);
-    let t = if requested == 0 { hw } else { requested };
-    t.clamp(1, work.max(1))
+    crate::worker_threads(requested).clamp(1, work.max(1))
 }
 
 /// Builds the per-core level pairs from the ideal voltages.

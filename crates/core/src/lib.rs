@@ -81,6 +81,17 @@ impl Solution {
     }
 }
 
+/// Resolves a requested worker-thread count: `0` means the hardware's
+/// available parallelism, probed once per process (on Linux each probe
+/// reads cgroup files, ~27 µs); any other value is returned unchanged.
+pub(crate) fn worker_threads(requested: usize) -> usize {
+    static HW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    match requested {
+        0 => *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from)),
+        t => t,
+    }
+}
+
 /// Errors from the scheduling algorithms.
 #[derive(Debug)]
 pub enum AlgoError {

@@ -366,11 +366,7 @@ pub fn solve(kind: SolverKind, platform: &Platform, opts: &SolveOptions) -> Resu
     let (solution, stats) = match kind {
         SolverKind::Lns => (lns::solve(platform)?, SolverStats::default()),
         SolverKind::Exs => {
-            let threads = if opts.threads == 0 {
-                std::thread::available_parallelism().map_or(1, usize::from)
-            } else {
-                opts.threads
-            };
+            let threads = crate::worker_threads(opts.threads);
             let (solution, evaluated) = exs::solve_inner(platform, threads, deadline_at)?;
             (solution, SolverStats { explored: evaluated, ..SolverStats::default() })
         }
@@ -425,15 +421,7 @@ pub fn solve_batch(
     variants: &[BatchVariant],
     threads: usize,
 ) -> Vec<Result<SolveReport>> {
-    // A single variant never fans out, so it skips the parallelism probe,
-    // which on Linux reads cgroup files on every call.
-    let threads = match threads {
-        _ if variants.len() <= 1 => 1,
-        0 => std::thread::available_parallelism().map_or(1, usize::from),
-        t => t,
-    }
-    .min(variants.len())
-    .max(1);
+    let threads = crate::worker_threads(threads).min(variants.len()).max(1);
     if threads <= 1 {
         return variants.iter().map(|v| solve(v.kind, platform, &v.options)).collect();
     }

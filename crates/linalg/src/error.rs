@@ -29,7 +29,7 @@ pub enum LinalgError {
     },
     /// An iterative kernel failed to converge within its iteration budget.
     NoConvergence {
-        /// The kernel that failed, e.g. `"jacobi"`.
+        /// The kernel that failed, e.g. `"ql"`.
         kernel: &'static str,
         /// Iterations performed before giving up.
         iterations: usize,

@@ -13,7 +13,8 @@
 //! * [`expm`] — matrix exponential via Higham's scaling-and-squaring with
 //!   Padé-13 approximants, the workhorse behind the interval propagator
 //!   `Φ = e^{A·l}` of eq. (3).
-//! * [`SymmetricEigen`] — cyclic Jacobi eigensolver for symmetric matrices,
+//! * [`SymmetricEigen`] — symmetric eigensolver (Householder tridiagonalization
+//!   plus implicit-shift QL, with cyclic Jacobi kept as the test oracle),
 //!   used to verify the spectrum assumptions of the paper (all eigenvalues of
 //!   `A` negative reals) and for the fast diagonalized propagator.
 //!
@@ -33,7 +34,7 @@ mod matrix;
 mod norms;
 mod vector;
 
-pub use eigen::{JacobiOptions, SymmetricEigen};
+pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
 pub use expm::{count_expm_call, expm, expm_action, expm_scaled};
 pub use lu::{solve as lu_solve, Lu};

@@ -137,8 +137,8 @@ fn expm_of_stable_matrix_is_substochastic() {
 }
 
 #[test]
-fn jacobi_reconstructs() {
-    propcheck("jacobi_reconstructs", |rng| {
+fn eigen_reconstructs() {
+    propcheck("eigen_reconstructs", |rng| {
         let a = symmetric_matrix(rng, 5);
         let e = SymmetricEigen::new(&a).unwrap();
         assert!(e.reconstruct().unwrap().max_abs_diff(&a) < 1e-9);
@@ -150,12 +150,129 @@ fn jacobi_reconstructs() {
 }
 
 #[test]
-fn jacobi_trace_identity() {
-    propcheck("jacobi_trace_identity", |rng| {
+fn eigen_trace_identity() {
+    propcheck("eigen_trace_identity", |rng| {
         let a = symmetric_matrix(rng, 6);
         let e = SymmetricEigen::new(&a).unwrap();
         let trace: f64 = (0..6).map(|i| a[(i, i)]).sum();
         assert!((trace - e.values.sum()).abs() < 1e-9);
+    });
+}
+
+/// A random orthogonal matrix: the product of three Householder reflectors.
+fn random_orthogonal(rng: &mut Rng64, n: usize) -> Matrix {
+    let mut q = Matrix::identity(n);
+    for _ in 0..3 {
+        let u = Vector::from_fn(n, |_| rng.gen_range(-1.0..1.0));
+        let uu = u.dot(&u).unwrap();
+        if uu == 0.0 {
+            continue;
+        }
+        let qu = q.matvec(&u).unwrap();
+        q = Matrix::from_fn(n, n, |i, j| q[(i, j)] - 2.0 * qu[i] * u[j] / uu);
+    }
+    q
+}
+
+/// `Q·diag(λ)·Qᵀ` with repeated eigenvalues and clusters 1e-9 wide.
+fn clustered_spectrum(rng: &mut Rng64, n: usize) -> Matrix {
+    let centers = [-2.0, 0.5, 1.0, 3.0];
+    let lam: Vec<f64> = (0..n)
+        .map(|_| {
+            let c = centers[rng.gen_range(0..centers.len())];
+            if rng.gen_range(0..2usize) == 0 {
+                c
+            } else {
+                c + rng.gen_range(-1e-9..1e-9)
+            }
+        })
+        .collect();
+    let q = random_orthogonal(rng, n);
+    let a = q.matmul(&Matrix::from_diag(&lam)).unwrap().matmul(&q.transpose()).unwrap();
+    Matrix::from_fn(n, n, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]))
+}
+
+/// Diagonal blocks of random symmetric matrices at scales 1e-3 to 1e3,
+/// zero elsewhere.
+fn block_diagonal(rng: &mut Rng64, n: usize) -> Matrix {
+    let mut a = Matrix::zeros(n, n);
+    let mut start = 0;
+    while start < n {
+        let len = rng.gen_range(1..=n - start);
+        let scale = 10f64.powi(rng.gen_range(0..=6usize) as i32 - 3);
+        let block = symmetric_matrix(rng, len);
+        for i in 0..len {
+            for j in 0..len {
+                a[(start + i, start + j)] = scale * block[(i, j)];
+            }
+        }
+        start += len;
+    }
+    a
+}
+
+/// A weighted graph Laplacian plus a positive ground conductance per node
+/// (SPD), congruence-scaled by `C^{-1/2}` with capacitances spanning five
+/// decades — the shape and stiffness of a thermal model's `S`.
+fn scaled_laplacian(rng: &mut Rng64, n: usize) -> Matrix {
+    let mut g = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if rng.gen_range(0..3usize) == 0 {
+                let w = rng.gen_range(0.1..10.0);
+                g[(i, j)] = -w;
+                g[(j, i)] = -w;
+                g[(i, i)] += w;
+                g[(j, j)] += w;
+            }
+        }
+        g[(i, i)] += 10f64.powf(rng.gen_range(-6.0..0.0));
+    }
+    let c_inv_sqrt: Vec<f64> =
+        (0..n).map(|_| 10f64.powf(rng.gen_range(-2.0..3.0)).sqrt()).collect();
+    Matrix::from_fn(n, n, |i, j| c_inv_sqrt[i] * g[(i, j)] * c_inv_sqrt[j])
+}
+
+/// QL against the Jacobi oracle: eigenvalues within `1e-12·max|a_ij|`, every
+/// column's residual `‖A·v − λ·v‖∞` within `1e-13·max|a_ij|`, orthonormal
+/// vectors, and `A` reconstructed.
+fn assert_matches_oracle(a: &Matrix, family: &str) {
+    let n = a.rows();
+    let scale = a.max_abs();
+    let ql = SymmetricEigen::new(a).unwrap();
+    let oracle = SymmetricEigen::jacobi(a).unwrap();
+    for k in 0..n {
+        let diff = (ql.values[k] - oracle.values[k]).abs();
+        assert!(
+            diff <= 1e-12 * scale,
+            "{family} n={n}: λ_{k} differs by {diff:e} (scale {scale:e})"
+        );
+    }
+    for w in ql.values.as_slice().windows(2) {
+        assert!(w[0] <= w[1], "{family} n={n}: eigenvalues not ascending");
+    }
+    let av = a.matmul(&ql.vectors).unwrap();
+    let lv = Matrix::from_fn(n, n, |i, k| ql.vectors[(i, k)] * ql.values[k]);
+    let residual = av.max_abs_diff(&lv);
+    assert!(residual <= 1e-13 * scale, "{family} n={n}: residual {residual:e} (scale {scale:e})");
+    let vtv = ql.vectors.transpose().matmul(&ql.vectors).unwrap();
+    let ortho = vtv.max_abs_diff(&Matrix::identity(n));
+    assert!(ortho <= 1e-13, "{family} n={n}: ‖VᵀV − I‖ = {ortho:e}");
+    let recon = ql.reconstruct().unwrap().max_abs_diff(a);
+    assert!(recon <= 1e-12 * scale, "{family} n={n}: reconstruction off by {recon:e}");
+}
+
+#[test]
+fn ql_matches_jacobi_oracle() {
+    propcheck("ql_matches_jacobi_oracle", |rng| {
+        let n = rng.gen_range(0..=40usize);
+        assert_matches_oracle(&symmetric_matrix(rng, n), "dense");
+        let diag: Vec<f64> =
+            (0..n).map(|_| [-1.0, 0.0, 2.0, 3.5][rng.gen_range(0..4usize)]).collect();
+        assert_matches_oracle(&Matrix::from_diag(&diag), "diagonal");
+        assert_matches_oracle(&clustered_spectrum(rng, n), "clustered");
+        assert_matches_oracle(&block_diagonal(rng, n), "block-diagonal");
+        assert_matches_oracle(&scaled_laplacian(rng, n), "laplacian");
     });
 }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the thermal substrate.
 
-use mosc_linalg::{SymmetricEigen, Vector};
+use mosc_linalg::{Matrix, SymmetricEigen, Vector};
 use mosc_testutil::{propcheck_cases, Rng64};
 use mosc_thermal::{Floorplan, RcConfig, RcNetwork, ThermalModel};
 
@@ -157,4 +157,45 @@ fn beta_increases_temperatures() {
         let t1 = m_leak.steady_state_cores(psi).unwrap();
         assert!(t0.le_elementwise(&t1, 1e-9));
     });
+}
+
+/// The model's QL eigendecomposition of `S = C^{-1/2}(G − βE)C^{-1/2}`
+/// against the Jacobi oracle on the platform grids (4 mm tiles, β = 0.03,
+/// 14 to 110 nodes): eigenvalues within `1e-12·max|S_ij|`, each residual
+/// within `1e-13·max|S_ij|`, orthonormal vectors, `S` reconstructed. The
+/// smallest eigenvalue sits near `2e-6·λ_max` on the 6×6 grid, so a
+/// per-eigenvalue relative bound would mostly measure Jacobi's own rounding.
+#[test]
+fn ql_matches_jacobi_on_grid_models() {
+    for (rows, cols) in [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (4, 4), (5, 5), (6, 6)] {
+        let f = Floorplan::grid(rows, cols, 4.0e-3, 4.0e-3).unwrap();
+        let net = RcNetwork::build(&f, &RcConfig::default()).unwrap();
+        let beta = 0.03;
+        let c_inv_sqrt: Vec<f64> = net.capacitance().iter().map(|c| 1.0 / c.sqrt()).collect();
+        let g = net.conductance();
+        let n = net.n_nodes();
+        let s = Matrix::from_fn(n, n, |i, j| {
+            let leak = if i == j && i < net.n_cores() { beta } else { 0.0 };
+            c_inv_sqrt[i] * (g[(i, j)] - leak) * c_inv_sqrt[j]
+        });
+        let scale = s.max_abs();
+        let ql = SymmetricEigen::new(&s).unwrap();
+        let oracle = SymmetricEigen::jacobi(&s).unwrap();
+        let dl = ql.values.max_abs_diff(&oracle.values);
+        assert!(dl <= 1e-12 * scale, "{rows}x{cols}: eigenvalues differ by {dl:e}");
+        let sv = s.matmul(&ql.vectors).unwrap();
+        let lv = Matrix::from_fn(n, n, |i, k| ql.vectors[(i, k)] * ql.values[k]);
+        let residual = sv.max_abs_diff(&lv);
+        assert!(residual <= 1e-13 * scale, "{rows}x{cols}: residual {residual:e}");
+        let vtv = ql.vectors.transpose().matmul(&ql.vectors).unwrap();
+        assert!(vtv.max_abs_diff(&Matrix::identity(n)) <= 1e-13, "{rows}x{cols}: not orthonormal");
+        assert!(ql.reconstruct().unwrap().max_abs_diff(&s) <= 1e-12 * scale, "{rows}x{cols}");
+
+        // The model is built on this same decomposition: A's spectrum is −S's.
+        let model = ThermalModel::new(net, beta).unwrap();
+        let a_eigs = model.eigenvalues();
+        for k in 0..n {
+            assert_eq!(a_eigs[k], -ql.values[n - 1 - k], "{rows}x{cols}: model spectrum");
+        }
+    }
 }

@@ -104,6 +104,8 @@ enum CliError {
     Infeasible(String),
     /// Filesystem or socket trouble → exit 4.
     Io(String),
+    /// The stdout reader went away (a closed pipe) → exit 4, no message.
+    StdoutClosed,
     /// Anything else (solver internals) → exit 1.
     Other(String),
 }
@@ -112,6 +114,7 @@ impl CliError {
     fn message(&self) -> &str {
         match self {
             Self::Usage(m) | Self::Infeasible(m) | Self::Io(m) | Self::Other(m) => m,
+            Self::StdoutClosed => "stdout closed",
         }
     }
 
@@ -120,9 +123,34 @@ impl CliError {
             Self::Other(_) => 1,
             Self::Usage(_) => 2,
             Self::Infeasible(_) => 3,
-            Self::Io(_) => 4,
+            Self::Io(_) | Self::StdoutClosed => 4,
         }
     }
+}
+
+/// Maps a failed stdout write to its exit: a reader that closed the pipe
+/// early (`| head`) ends the run quietly, anything else is an I/O error.
+fn stdout_error(e: &std::io::Error) -> CliError {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        CliError::StdoutClosed
+    } else {
+        CliError::Io(format!("cannot write to stdout: {e}"))
+    }
+}
+
+/// `print!` to stdout that returns a failed write as a [`CliError`] from the
+/// enclosing function instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(std::io::stdout(), $($arg)*).map_err(|e| stdout_error(&e))?
+    };
+}
+
+/// `println!` counterpart of [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(|e| stdout_error(&e))?
+    };
 }
 
 /// Classifies a solver failure: infeasibility and bad options are the
@@ -201,21 +229,23 @@ fn parse_obs(argv: &[String]) -> Result<ObsMode, CliError> {
 }
 
 /// Prints the recorder's current snapshot in the requested format.
-fn emit_obs(mode: ObsMode) {
+fn emit_obs(mode: ObsMode) -> Result<(), CliError> {
     let telemetry = mosc::obs::snapshot();
     match mode {
         ObsMode::Off => {}
         ObsMode::Pretty => {
-            println!();
-            print!("{}", telemetry.render_pretty());
+            outln!();
+            out!("{}", telemetry.render_pretty());
         }
-        ObsMode::Json => print!("{}", telemetry.to_jsonl()),
+        ObsMode::Json => out!("{}", telemetry.to_jsonl()),
     }
+    Ok(())
 }
 
 fn main() -> ExitCode {
     match run() {
         Ok(code) => code,
+        Err(CliError::StdoutClosed) => ExitCode::from(CliError::StdoutClosed.exit_code()),
         Err(e) => {
             eprintln!("error: {}", e.message());
             if matches!(e, CliError::Usage(_)) {
@@ -273,7 +303,7 @@ fn run() -> Result<ExitCode, CliError> {
             // Emit the telemetry window after the daemon drains: the
             // resulting JSONL is what the M060-M062 serve lints analyze.
             let code = serve(&args)?;
-            emit_obs(obs_mode);
+            emit_obs(obs_mode)?;
             return Ok(code);
         }
         "client" => return client(&args),
@@ -291,15 +321,12 @@ fn run() -> Result<ExitCode, CliError> {
     let code = match cmd.as_str() {
         "solve" => solve(&args, &platform),
         "peak" => peak(&args, &platform),
-        "compare" => {
-            compare(&platform);
-            Ok(())
-        }
+        "compare" => compare(&platform),
         "trace" => trace(&args, &platform),
         other => Err(CliError::Usage(format!("unknown subcommand '{other}'"))),
     }
     .map(|()| ExitCode::SUCCESS)?;
-    emit_obs(obs_mode);
+    emit_obs(obs_mode)?;
     Ok(code)
 }
 
@@ -351,7 +378,7 @@ fn profile(args: &Args, mode: ObsMode) -> Result<ExitCode, CliError> {
         let peaks = telemetry.counter("peak_eval.calls").unwrap_or(0);
         if json {
             match &result {
-                Ok(s) => println!(
+                Ok(s) => outln!(
                     "{{\"type\":\"profile\",\"solver\":{},\"wall_s\":{wall:?},\
                      \"throughput\":{:?},\"peak_c\":{:?},\"feasible\":{}}}",
                     json_quote(name),
@@ -359,17 +386,17 @@ fn profile(args: &Args, mode: ObsMode) -> Result<ExitCode, CliError> {
                     s.peak_c(&platform),
                     s.feasible
                 ),
-                Err(e) => println!(
+                Err(e) => outln!(
                     "{{\"type\":\"profile\",\"solver\":{},\"wall_s\":{wall:?},\"error\":{}}}",
                     json_quote(name),
                     json_quote(e)
                 ),
             }
-            print!("{}", telemetry.to_jsonl());
+            out!("{}", telemetry.to_jsonl());
         } else {
-            println!("=== {name} ===");
+            outln!("=== {name} ===");
             match &result {
-                Ok(s) => println!(
+                Ok(s) => outln!(
                     "throughput {:.4}, peak {:.2} C, feasible {}, m = {}, wall {:.3} s",
                     s.throughput,
                     s.peak_c(&platform),
@@ -377,28 +404,32 @@ fn profile(args: &Args, mode: ObsMode) -> Result<ExitCode, CliError> {
                     s.m,
                     wall
                 ),
-                Err(e) => println!("failed: {e} (wall {wall:.3} s)"),
+                Err(e) => outln!("failed: {e} (wall {wall:.3} s)"),
             }
-            print!("{}", telemetry.render_pretty());
-            println!();
+            out!("{}", telemetry.render_pretty());
+            outln!();
         }
         summary.push((name, wall, expm, peaks, result));
     }
 
     if !json {
-        println!(
+        outln!(
             "{:<9} {:>9} {:>11} {:>15} {:>10}",
-            "solver", "wall (s)", "expm.calls", "peak_eval.calls", "throughput"
+            "solver",
+            "wall (s)",
+            "expm.calls",
+            "peak_eval.calls",
+            "throughput"
         );
         for (name, wall, expm, peaks, result) in &summary {
             match result {
                 Ok(s) => {
-                    println!("{name:<9} {wall:>9.3} {expm:>11} {peaks:>15} {:>10.4}", s.throughput);
+                    outln!("{name:<9} {wall:>9.3} {expm:>11} {peaks:>15} {:>10.4}", s.throughput);
                 }
-                Err(_) => println!("{name:<9} {wall:>9.3} {expm:>11} {peaks:>15} {:>10}", "failed"),
+                Err(_) => outln!("{name:<9} {wall:>9.3} {expm:>11} {peaks:>15} {:>10}", "failed"),
             }
         }
-        println!();
+        outln!();
     }
     periodmap_section(&platform, json)?;
     Ok(ExitCode::SUCCESS)
@@ -423,8 +454,8 @@ fn periodmap_section(platform: &Platform, json: bool) -> Result<ExitCode, CliErr
     let base = Schedule::two_mode(&vec![v_low; n], &vec![v_high; n], &vec![0.5; n], 0.05)
         .map_err(|e| CliError::Other(format!("period-map schedule: {e}")))?;
     if !json {
-        println!("=== period-map scaling (two-mode schedule, oscillated) ===");
-        println!(
+        outln!("=== period-map scaling (two-mode schedule, oscillated) ===");
+        outln!(
             "{:>5} {:>9} {:>10} {:>10} {:>10} {:>11} {:>11} {:>10}",
             "m",
             "fast ops",
@@ -465,14 +496,14 @@ fn periodmap_section(platform: &Platform, json: bool) -> Result<ExitCode, CliErr
             )));
         }
         if json {
-            println!(
+            outln!(
                 "{{\"type\":\"periodmap\",\"m\":{m},\"fast_ops\":{fast_ops},\
                  \"fast_expm\":{fast_expm},\"fast_wall_s\":{fast_wall:?},\
                  \"dense_ops\":{dense_ops},\"dense_expm\":{dense_expm},\
                  \"dense_wall_s\":{dense_wall:?},\"max_abs_diff\":{diff:?}}}"
             );
         } else {
-            println!(
+            outln!(
                 "{m:>5} {fast_ops:>9} {fast_expm:>10} {fast_wall:>10.6} \
                  {dense_ops:>10} {dense_expm:>11} {dense_wall:>11.6} {diff:>10.2e}"
             );
@@ -619,7 +650,7 @@ fn analyze(args: &Args) -> Result<ExitCode, CliError> {
     if let Some(out) = &parsed.write_baseline {
         std::fs::write(out, pass::render_baseline(&configured))
             .map_err(|e| CliError::Io(format!("cannot write baseline to '{out}': {e}")))?;
-        println!("baseline ({} finding(s)) written to {out}", configured.diagnostics().len());
+        outln!("baseline ({} finding(s)) written to {out}", configured.diagnostics().len());
         return Ok(ExitCode::SUCCESS);
     }
     let report = match parsed.baseline.as_ref().or(cfg.baseline.as_ref()) {
@@ -632,9 +663,9 @@ fn analyze(args: &Args) -> Result<ExitCode, CliError> {
     };
 
     match parsed.format.as_str() {
-        "text" => print!("{}", report.render()),
-        "json" => print!("{}", output::render_json(&report)),
-        "sarif" => print!("{}", output::render_sarif(&report)),
+        "text" => out!("{}", report.render()),
+        "json" => out!("{}", output::render_json(&report)),
+        "sarif" => out!("{}", output::render_sarif(&report)),
         other => {
             return Err(CliError::Usage(format!(
                 "unknown --format '{other}' (expected text, json or sarif)"
@@ -705,11 +736,11 @@ fn serve(args: &Args) -> Result<ExitCode, CliError> {
         builder = builder.flight_capacity(capacity);
     }
     let server = builder.bind().map_err(|e| CliError::Io(format!("cannot bind {addr}: {e}")))?;
-    println!("mosc-serve listening on {}", server.local_addr());
+    outln!("mosc-serve listening on {}", server.local_addr());
     // Scripts wait for the line above before connecting.
     let _ = std::io::stdout().flush();
     server.run().map_err(|e| CliError::Io(format!("serve: {e}")))?;
-    println!("mosc-serve drained and stopped");
+    outln!("mosc-serve drained and stopped");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -753,7 +784,7 @@ fn client(args: &Args) -> Result<ExitCode, CliError> {
         if n == 0 {
             return Err(CliError::Io(format!("client: {addr} closed the connection")));
         }
-        print!("{response}");
+        out!("{response}");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -877,11 +908,11 @@ fn client_batch(
                 eprintln!("batch {}: registry {registry}, {} variant(s)", batch.id, results.len());
             }
             for r in results {
-                println!("{}", mosc::analyze::json::value_to_json(r));
+                outln!("{}", mosc::analyze::json::value_to_json(r));
             }
         }
         // Errors (overloaded, usage) come back unframed; pass them through.
-        None => print!("{response}"),
+        None => out!("{response}"),
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -997,9 +1028,9 @@ fn stats(args: &Args) -> Result<ExitCode, CliError> {
         if watch && tty {
             // Home + clear-below keeps the frame flicker-free; a full clear
             // would blank the screen between polls.
-            print!("\x1b[H\x1b[J{frame}");
+            out!("\x1b[H\x1b[J{frame}");
         } else {
-            print!("{frame}");
+            out!("{frame}");
         }
         let _ = std::io::stdout().flush();
         served += 1;
@@ -1021,7 +1052,7 @@ fn metrics(args: &Args) -> Result<ExitCode, CliError> {
         .get("metrics")
         .and_then(mosc::analyze::json::Value::as_str)
         .ok_or_else(|| CliError::Other(format!("{addr}: metrics response has no payload")))?;
-    print!("{text}");
+    out!("{text}");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1161,7 +1192,7 @@ fn trace_join(args: &Args) -> Result<ExitCode, CliError> {
         }
     }
     if traces.is_empty() {
-        println!("no traced entries in the given artifacts");
+        outln!("no traced entries in the given artifacts");
         return Ok(ExitCode::SUCCESS);
     }
     for (trace_id, (spans, events)) in &mut traces {
@@ -1171,9 +1202,9 @@ fn trace_join(args: &Args) -> Result<ExitCode, CliError> {
         events.sort_by_key(|e| e.seq);
         events.dedup_by_key(|e| e.seq);
         if format == "json" {
-            println!("{}", render_trace_json(trace_id, spans, events));
+            outln!("{}", render_trace_json(trace_id, spans, events));
         } else {
-            print!("{}", render_trace_text(trace_id, spans, events));
+            out!("{}", render_trace_text(trace_id, spans, events));
         }
     }
     Ok(ExitCode::SUCCESS)
@@ -1346,11 +1377,11 @@ fn solve(args: &Args, platform: &Platform) -> Result<(), CliError> {
     if let Some(path) = args.path_flag("--claim")? {
         std::fs::write(path, report.claim_json(kind, platform))
             .map_err(|e| CliError::Io(format!("cannot write claim to '{path}': {e}")))?;
-        println!("claim written to {path}");
+        outln!("claim written to {path}");
     }
     let sol = report.solution;
 
-    println!(
+    outln!(
         "{}: throughput {:.4}, peak {:.2} C, feasible {}, m = {}",
         sol.algorithm,
         sol.throughput,
@@ -1363,9 +1394,9 @@ fn solve(args: &Args, platform: &Platform) -> Result<(), CliError> {
         Some(path) => {
             std::fs::write(path, &rendered)
                 .map_err(|e| CliError::Io(format!("cannot write schedule to '{path}': {e}")))?;
-            println!("schedule written to {path}");
+            outln!("schedule written to {path}");
         }
-        None => print!("{rendered}"),
+        None => out!("{rendered}"),
     }
     Ok(())
 }
@@ -1391,7 +1422,7 @@ fn peak(args: &Args, platform: &Platform) -> Result<(), CliError> {
     let schedule = load_schedule(args, platform)?;
     let report =
         platform.peak(&schedule).map_err(|e| CliError::Other(format!("evaluation failed: {e}")))?;
-    println!(
+    outln!(
         "peak {:.3} C on core {} at t = {:.6} s ({}); T_max = {:.1} C -> {}",
         platform.to_celsius(report.temp),
         report.core,
@@ -1400,19 +1431,19 @@ fn peak(args: &Args, platform: &Platform) -> Result<(), CliError> {
         platform.t_max_c(),
         if report.temp <= platform.t_max() + 1e-9 { "SAFE" } else { "VIOLATION" }
     );
-    println!("throughput {:.4}", schedule.throughput_with_overhead(platform.overhead()));
+    outln!("throughput {:.4}", schedule.throughput_with_overhead(platform.overhead()));
     Ok(())
 }
 
 /// The quick four-way table: the fast solvers only (EXS-BnB and the
 /// governor are left to `profile`, which owns a telemetry window per
 /// solver).
-fn compare(platform: &Platform) {
-    println!("{:<8} {:>10} {:>10} {:>9} {:>5}", "algo", "throughput", "peak (C)", "feasible", "m");
+fn compare(platform: &Platform) -> Result<(), CliError> {
+    outln!("{:<8} {:>10} {:>10} {:>9} {:>5}", "algo", "throughput", "peak (C)", "feasible", "m");
     let opts = SolveOptions::default();
     for kind in [SolverKind::Lns, SolverKind::Exs, SolverKind::Ao, SolverKind::Pco] {
         match mosc::algorithms::solve(kind, platform, &opts) {
-            Ok(r) => println!(
+            Ok(r) => outln!(
                 "{:<8} {:>10.4} {:>10.2} {:>9} {:>5}",
                 kind.label(),
                 r.solution.throughput,
@@ -1420,9 +1451,10 @@ fn compare(platform: &Platform) {
                 r.solution.feasible,
                 r.solution.m
             ),
-            Err(e) => println!("{:<8} failed: {e}", kind.label()),
+            Err(e) => outln!("{:<8} failed: {e}", kind.label()),
         }
     }
+    Ok(())
 }
 
 fn trace(args: &Args, platform: &Platform) -> Result<(), CliError> {
@@ -1436,9 +1468,9 @@ fn trace(args: &Args, platform: &Platform) -> Result<(), CliError> {
         Some(path) => {
             std::fs::write(path, &csv)
                 .map_err(|e| CliError::Io(format!("cannot write trace to '{path}': {e}")))?;
-            println!("trace ({} samples) written to {path}", tr.len());
+            outln!("trace ({} samples) written to {path}", tr.len());
         }
-        None => print!("{csv}"),
+        None => out!("{csv}"),
     }
     Ok(())
 }

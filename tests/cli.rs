@@ -1,7 +1,7 @@
 //! Integration tests for the `mosc-cli` binary: the full
 //! solve → serialize → re-load → evaluate loop through the text format.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mosc-cli"))
@@ -117,6 +117,25 @@ fn obs_json_emits_span_tree_and_kernel_counters() {
             .unwrap_or_else(|| panic!("missing counter {name} in {stdout}"));
         assert!(!line.contains(r#""value":0"#), "zero {name}: {line}");
     }
+}
+
+#[cfg(unix)]
+#[test]
+fn closed_stdout_exits_with_the_io_code_and_no_panic() {
+    // The reader is gone before the solve prints (`mosc-cli … | true`): its
+    // end of the socket pair is closed before the spawn, so the first write
+    // fails with a broken pipe however the threads are scheduled.
+    let (stdout, reader) = std::os::unix::net::UnixStream::pair().expect("socket pair");
+    drop(reader);
+    let out = cli()
+        .args(["solve", "--algo", "lns", "--rows", "1", "--cols", "2", "--tmax", "55"])
+        .stdout(Stdio::from(std::os::fd::OwnedFd::from(stdout)))
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run solve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]
